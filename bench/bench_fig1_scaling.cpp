@@ -8,7 +8,8 @@
 //
 // qmcxx measures the per-walker-step compute time and serialized walker
 // size of each engine on this host and projects the same node counts
-// through a calibrated alpha-beta communication model (DESIGN.md).
+// through a calibrated alpha-beta communication model (docs/API.md,
+// "Substitutions").
 //
 // --real-threads additionally runs a measured on-node thread sweep:
 // NiO-32 crowds execute concurrently on the drivers' ThreadPool for

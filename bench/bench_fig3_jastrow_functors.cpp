@@ -6,7 +6,8 @@
 // the data behind the figure. The shapes (deep Ni well, shallower O
 // well, positive decaying e-e correlation with cusp-split channels and
 // smooth cutoff) match the published curves qualitatively; parameters
-// are the DESIGN.md substitutions for the variationally optimized ones.
+// substitute for the variationally optimized ones (docs/API.md,
+// "Substitutions").
 #include "bench/bench_common.h"
 #include "numerics/spline_builder.h"
 #include "workloads/system_builder.h"

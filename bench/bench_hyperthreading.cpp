@@ -6,7 +6,7 @@
 // runs walker crowds concurrently on the drivers' ThreadPool (threads
 // beyond the core count show oversubscription behaviour); the
 // latency-hiding gain itself is reported through a memory-stall model
-// fed by the measured Bspline kernel share (DESIGN.md).
+// fed by the measured Bspline kernel share (docs/API.md, "Substitutions").
 //
 // --real-threads widens the measured sweep to {1, 2, 4} threads and
 // emits the measured records into BENCH_hyperthreading.json next to

@@ -1,4 +1,4 @@
-// Batched multi-walker B-spline kernel A/B (PR 8): crowd-vectorized
+// Batched multi-walker B-spline kernel A/B: crowd-vectorized
 // evaluate_vgh_multi / evaluate_v_multi against the per-walker scalar
 // loop they replace, on the NiO-32-sized orbital set (192 orbitals,
 // 28x28x16 grid) over crowd sizes 1..16.
@@ -7,7 +7,8 @@
 // per (i,j) coefficient line (16 read-modify-write passes) instead of
 // once per (i,j,k) stencil point (64 passes), prefetches the next line,
 // and blocks the padded spline dimension; the arithmetic is bitwise
-// identical (tests/test_bspline3d.cpp, tests/test_spo_batched.cpp).
+// identical (kernels: BatchedSplineKernels in tests/test_bspline3d.cpp;
+// whole chains: SpoChainParity in tests/test_spo_set.cpp).
 #include <algorithm>
 
 #include "bench/bench_common.h"

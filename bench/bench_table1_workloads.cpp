@@ -3,7 +3,7 @@
 // Prints the paper's workload metadata next to the qmcxx realization
 // (synthetic-orbital grids, measured spline-table sizes). The paper's
 // spline tables are DFT-derived and GB-scale; qmcxx scales the grids
-// down while preserving the size ordering (DESIGN.md substitution).
+// down while preserving the size ordering (docs/API.md, "Substitutions").
 //
 // A second table covers the spec-only systems (committed under specs/
 // with no Workload enum entry) and drives each through the engine via
@@ -73,7 +73,7 @@ int main()
   print_table(rows);
   std::printf("\nNote: paper spline sizes are DFT-derived GB-scale tables; qmcxx\n"
               "uses synthetic orbitals on scaled grids with the same ordering\n"
-              "(Graphite smallest, NiO-64 largest). See DESIGN.md.\n");
+              "(Graphite smallest, NiO-64 largest). See docs/API.md, \"Substitutions\".\n");
 
   // ---- spec-only systems (no enum counterpart) ----------------------
   bench::header("Table 1b: spec-ingested systems (qmcxx-spec-v1, specs/)",

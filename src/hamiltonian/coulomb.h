@@ -7,7 +7,8 @@
 //                 pseudopotential core correction that regularizes
 //                 -Z*/r into -Z* erf(r/r_core)/r near each ion
 //                 (substitution for the workloads' norm-conserving
-//                 pseudopotential local channels, see DESIGN.md)
+//                 pseudopotential local channels, see docs/API.md,
+//                 "Substitutions")
 //
 // When built with a distance-table index (the system builder always
 // passes one), the real-space pair sums consume the committed

@@ -7,7 +7,7 @@
 // evaluations are value-only (Eq. 4) and drive the Bspline-v hot spot of
 // the paper's profiles. The synthetic radial channel v_l(r) =
 // a exp(-(r/w)^2) substitutes for the workloads' tabulated
-// norm-conserving channels (DESIGN.md).
+// norm-conserving channels (docs/API.md, "Substitutions").
 #ifndef QMCXX_HAMILTONIAN_PSEUDOPOTENTIAL_H
 #define QMCXX_HAMILTONIAN_PSEUDOPOTENTIAL_H
 

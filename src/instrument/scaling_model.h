@@ -8,7 +8,7 @@
 // alpha-beta communication model fed by *measured* quantities: the
 // per-walker-step compute time of each engine and the serialized walker
 // size (which the compute-on-the-fly work shrinks by 22.5 MB for
-// NiO-64). See DESIGN.md substitution table.
+// NiO-64). See docs/API.md, "Substitutions".
 #ifndef QMCXX_INSTRUMENT_SCALING_MODEL_H
 #define QMCXX_INSTRUMENT_SCALING_MODEL_H
 

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -159,6 +160,8 @@ public:
     const long v = std::strtol(tok.c_str(), &end, 10);
     if (errno != 0 || end != tok.c_str() + tok.size())
       fail("expected an integer, got '" + tok + "'");
+    if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max())
+      fail("integer out of range '" + tok + "'");
     return static_cast<int>(v);
   }
 

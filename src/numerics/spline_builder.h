@@ -4,7 +4,7 @@
 // material (Fig. 3). qmcxx substitutes analytic target forms with the
 // correct cusp conditions and cutoffs, fitted onto the same B-spline
 // representation, so the evaluation cost, branching and memory traffic
-// are identical to production (see DESIGN.md, substitution table).
+// are identical to production (see docs/API.md, "Substitutions").
 #ifndef QMCXX_NUMERICS_SPLINE_BUILDER_H
 #define QMCXX_NUMERICS_SPLINE_BUILDER_H
 

@@ -58,13 +58,6 @@ inline const char* to_string(LayoutMode m)
   return m == LayoutMode::Canonical ? "Canonical" : "Reference";
 }
 
-/// Update policy for the SoA AA table (paper Fig. 6b and Sec. 7.5).
-enum class DTUpdateMode
-{
-  ForwardUpdate, ///< accept copies temp row + strided column for k' > k
-  OnTheFly       ///< row k recomputed in prepare_move; no column update
-};
-
 /// Unit-stride view of one table row: distances plus wrapped
 /// displacement components. Lifetime contract: a committed-row view
 /// (row()/row_distances()) is valid until the next mutating table call

@@ -2,14 +2,11 @@
 //
 // Full N x Np padded row storage on SoA component arrays; every row is
 // cache-aligned and unit-stride, so the distance kernels vectorize to
-// packed width. Two update policies:
-//   ForwardUpdate -- on acceptance, copy the temp row into row k and
-//                    update the k-th column only for k' > k (the data
-//                    future moves will read).
-//   OnTheFly      -- no column updates at all; row k is recomputed from
-//                    current positions in prepare_move just before the
-//                    move (the paper's final choice: "this eliminates the
-//                    strided copy for the column updates").
+// packed width. The AA table is compute-on-the-fly: acceptance copies
+// the temp row into row k and updates no column; row k is recomputed
+// from current positions in prepare_move just before the move (the
+// paper's final choice: "this eliminates the strided copy for the
+// column updates").
 // O(N^2) storage is retained because Hamiltonian measurements reuse the
 // full table (Sec. 7.5). The pair arithmetic lives in
 // min_image_kernel.h, shared with the AoS reference layout so the two
@@ -36,9 +33,7 @@ public:
   using Base = DistanceTable<TR>;
   using Pos = typename Base::Pos;
 
-  SoaDistanceTableAA(const Lattice& lattice, int n,
-                     DTUpdateMode mode = DTUpdateMode::OnTheFly)
-      : Base(lattice, n, n), mode_(mode), mik_(this->lattice_)
+  SoaDistanceTableAA(const Lattice& lattice, int n) : Base(lattice, n, n), mik_(this->lattice_)
   {
     d_.resize(n, n, /*pad_rows=*/true);
     dx_.resize(n, n, true);
@@ -50,11 +45,9 @@ public:
     temp_dz_.assign(np, TR(0));
   }
 
-  DTUpdateMode mode() const { return mode_; }
-
   std::unique_ptr<DistanceTable<TR>> clone() const override
   {
-    return std::make_unique<SoaDistanceTableAA<TR>>(this->lattice_, this->num_targets_, mode_);
+    return std::make_unique<SoaDistanceTableAA<TR>>(this->lattice_, this->num_targets_);
   }
 
   void evaluate(ParticleSet<TR>& p) override
@@ -74,8 +67,6 @@ public:
   void prepare_move(ParticleSet<TR>& p, int k) override
   {
     ScopedTimer dt_timer(Kernel::DistTable);
-    if (mode_ != DTUpdateMode::OnTheFly)
-      return;
     compute_row(p, p.Rsoa()(0, k), p.Rsoa()(1, k), p.Rsoa()(2, k), d_.row(k), dx_.row(k),
                 dy_.row(k), dz_.row(k));
     d_(k, k) = DT_BIG_R<TR>;
@@ -107,18 +98,6 @@ public:
       dzk[j] = temp_dz_[j];
     }
     d_(k, k) = DT_BIG_R<TR>;
-    if (mode_ == DTUpdateMode::ForwardUpdate)
-    {
-      // Strided column update, forward rows only (Fig. 6b).
-      const int n = this->num_targets_;
-      for (int i = k + 1; i < n; ++i)
-      {
-        d_(i, k) = tr[i];
-        dx_(i, k) = -temp_dx_[i];
-        dy_(i, k) = -temp_dy_[i];
-        dz_(i, k) = -temp_dz_[i];
-      }
-    }
   }
 
   TR dist(int i, int j) const override { return d_(i, j); }
@@ -159,7 +138,6 @@ private:
                   this->num_targets_, d, dx, dy, dz);
   }
 
-  DTUpdateMode mode_;
   MinImageKernel<TR> mik_;
   Matrix<TR> d_, dx_, dy_, dz_;
   aligned_vector<TR> temp_dx_, temp_dy_, temp_dz_;

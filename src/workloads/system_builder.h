@@ -54,18 +54,12 @@ struct BuildOptions
   LayoutMode layout = LayoutMode::Canonical;
   bool with_hamiltonian = true;
   std::uint64_t seed = 20170708;
-  DTUpdateMode dt_mode = DTUpdateMode::OnTheFly; ///< SoA AA policy
   /// Delayed (Woodbury) determinant updates (Sec. 8.4): accepted rows
   /// bind into a rank-`delay_rank` window applied as BLAS3 gemms.
   /// 1 selects the plain rank-1 Sherman-Morrison DiracDeterminant (the
   /// bitwise-identical legacy path); values > 1 build
   /// DiracDeterminantDelayed for both spin blocks.
   int delay_rank = 1;
-  /// Crowd-batched spline kernels (evaluate_v_multi/evaluate_vgh_multi)
-  /// behind the SPO mw_* calls; false selects the per-walker scalar
-  /// backend loops. Results are bitwise identical either way (the A/B
-  /// knob for benches and chain-parity tests).
-  bool spo_batched = true;
 };
 
 template<typename TR>
@@ -104,7 +98,7 @@ QMCSystem<TR> build_system(const SystemSpec& spec, const BuildOptions& opt)
     if (canonical_tables)
     {
       sys.table_ee = sys.elec->add_table(
-          std::make_unique<SoaDistanceTableAA<TR>>(spec.lattice, n, opt.dt_mode));
+          std::make_unique<SoaDistanceTableAA<TR>>(spec.lattice, n));
       sys.table_ei = sys.elec->add_table(
           std::make_unique<SoaDistanceTableAB<TR>>(spec.lattice, *sys.ions, n));
     }
@@ -125,17 +119,13 @@ QMCSystem<TR> build_system(const SystemSpec& spec, const BuildOptions& opt)
     {
       auto backend = std::make_shared<MultiBspline3D<TR>>();
       fill_synthetic_orbitals<TR>(*backend, gx, gy, gz, spec.num_orbitals, opt.seed);
-      auto spos = std::make_shared<BsplineSPOSetSoA<TR>>(spec.lattice, backend);
-      spos->set_batched_kernels(opt.spo_batched);
-      sys.spos = std::move(spos);
+      sys.spos = std::make_shared<BsplineSPOSetSoA<TR>>(spec.lattice, backend);
     }
     else
     {
       auto backend = std::make_shared<BsplineSetAoS<TR>>();
       fill_synthetic_orbitals<TR>(*backend, gx, gy, gz, spec.num_orbitals, opt.seed);
-      auto spos = std::make_shared<BsplineSPOSetAoS<TR>>(spec.lattice, backend);
-      spos->set_batched_kernels(opt.spo_batched);
-      sys.spos = std::move(spos);
+      sys.spos = std::make_shared<BsplineSPOSetAoS<TR>>(spec.lattice, backend);
     }
   }
 

@@ -4,8 +4,8 @@
 // hexagonal cells, NiO rocksalt supercells in orthorhombic cells) with
 // the paper's electron and ion counts. The DFT-derived orbitals and
 // optimized Jastrow/pseudopotential parameters are replaced by synthetic
-// equivalents with the same counts, cutoffs and code paths (DESIGN.md
-// substitution table); spline grids are scaled so the tables keep the
+// equivalents with the same counts, cutoffs and code paths (docs/API.md,
+// "Substitutions"); spline grids are scaled so the tables keep the
 // paper's size ordering while fitting in laptop memory.
 #ifndef QMCXX_WORKLOADS_WORKLOADS_H
 #define QMCXX_WORKLOADS_WORKLOADS_H

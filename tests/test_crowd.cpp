@@ -148,7 +148,7 @@ TEST(CrowdParity, GraphiteVmcCrowdMatchesScalar)
   const WorkloadInfo& info = workload_info(Workload::Graphite);
   const RunResult scalar = run_workload<double>(info, crowd_config(1, /*steps=*/2), false);
   const RunResult crowd = run_workload<double>(info, crowd_config(4, /*steps=*/2), false);
-  expect_traces_match(scalar, crowd, 1e-9);
+  expect_traces_bitwise(scalar, crowd);
 }
 
 TEST(CrowdParity, GraphiteDmcCrowdMatchesScalar)
@@ -156,7 +156,7 @@ TEST(CrowdParity, GraphiteDmcCrowdMatchesScalar)
   const WorkloadInfo& info = workload_info(Workload::Graphite);
   const RunResult scalar = run_workload<double>(info, crowd_config(1, /*steps=*/2), true);
   const RunResult crowd = run_workload<double>(info, crowd_config(4, /*steps=*/2), true);
-  expect_traces_match(scalar, crowd, 1e-9);
+  expect_traces_bitwise(scalar, crowd);
 }
 
 TEST(CrowdParity, PartialCrowdsAndOddPopulations)

@@ -1,9 +1,9 @@
 // Unit + property tests for the distance tables: AoS packed-triangle vs
-// SoA full-row layouts, forward-update vs compute-on-the-fly policies,
-// the PbyP move protocol (paper Fig. 6), and the layout-parity
-// guarantees: Reference (AoS) and canonical (SoA) tables serve
-// bitwise-identical rows through the unified DTRowView interface, and
-// whole VMC/DMC chains are bitwise-identical across layout modes.
+// SoA full-row (compute-on-the-fly) layouts, the PbyP move protocol
+// (paper Fig. 6), and the layout-parity guarantees: Reference (AoS)
+// and canonical (SoA) tables serve bitwise-identical rows through the
+// unified DTRowView interface, and whole VMC/DMC chains are
+// bitwise-identical across layout modes.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -26,15 +26,10 @@ double exact_dist(const Lattice& lat, const TinyVector<double, 3>& a,
   return norm(lat.min_image(b - a));
 }
 
-struct TableCase
-{
-  bool soa;
-  DTUpdateMode mode; // only meaningful for soa
-};
-
 } // namespace
 
-class DistanceTableAA : public ::testing::TestWithParam<TableCase>
+/// Parameter: true for the SoA table, false for the AoS packed triangle.
+class DistanceTableAA : public ::testing::TestWithParam<bool>
 {
 protected:
   static constexpr int kN = 24;
@@ -42,10 +37,8 @@ protected:
   std::unique_ptr<ParticleSet<double>> make_system(int& table_idx)
   {
     auto p = make_electrons<double>(kN / 2, kN / 2, 6.0);
-    const auto& param = GetParam();
-    if (param.soa)
-      table_idx = p->add_table(
-          std::make_unique<SoaDistanceTableAA<double>>(p->lattice(), kN, param.mode));
+    if (GetParam())
+      table_idx = p->add_table(std::make_unique<SoaDistanceTableAA<double>>(p->lattice(), kN));
     else
       table_idx = p->add_table(std::make_unique<AosDistanceTableAA<double>>(p->lattice(), kN));
     p->update();
@@ -125,9 +118,9 @@ TEST_P(DistanceTableAA, SweepWithAcceptsKeepsRowsConsistent)
     else
       p->reject_move(k);
 
-    // After each accept, the data future moves will read (rows k' > k at
-    // prepare time, or the forward-updated column) must be consistent:
-    // verify by preparing the next particle and checking its row.
+    // After each accept, the data future moves will read (row k + 1 at
+    // prepare time) must be consistent: verify by preparing the next
+    // particle and checking its row.
     if (k + 1 < kN)
     {
       p->prepare_move(k + 1);
@@ -136,9 +129,8 @@ TEST_P(DistanceTableAA, SweepWithAcceptsKeepsRowsConsistent)
       {
         if (j == k + 1)
           continue;
-        const auto& param = GetParam();
         const double expect = exact_dist(p->lattice(), p->pos(k + 1), p->pos(j));
-        if (param.soa)
+        if (GetParam())
         {
           auto& soa = p->template table_as<SoaDistanceTableAA<double>>(ti);
           EXPECT_NEAR(soa.row_d(k + 1)[j], expect, 1e-12) << "k=" << k << " j=" << j;
@@ -158,34 +150,10 @@ TEST_P(DistanceTableAA, SweepWithAcceptsKeepsRowsConsistent)
       EXPECT_NEAR(p->table(ti).dist(i, j), exact_dist(p->lattice(), p->pos(i), p->pos(j)), 1e-12);
 }
 
-INSTANTIATE_TEST_SUITE_P(Layouts, DistanceTableAA,
-                         ::testing::Values(TableCase{false, DTUpdateMode::OnTheFly},
-                                           TableCase{true, DTUpdateMode::ForwardUpdate},
-                                           TableCase{true, DTUpdateMode::OnTheFly}),
-                         [](const ::testing::TestParamInfo<TableCase>& pinfo) {
-                           if (!pinfo.param.soa)
-                             return std::string("AosPackedTriangle");
-                           return pinfo.param.mode == DTUpdateMode::ForwardUpdate
-                               ? std::string("SoaForwardUpdate")
-                               : std::string("SoaOnTheFly");
+INSTANTIATE_TEST_SUITE_P(Layouts, DistanceTableAA, ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& pinfo) {
+                           return std::string(pinfo.param ? "SoaOnTheFly" : "AosPackedTriangle");
                          });
-
-TEST(DistanceTableAASoA, ForwardUpdateMaintainsColumnBelowK)
-{
-  const int n = 16;
-  auto p = make_electrons<double>(n / 2, n / 2, 5.0);
-  const int ti = p->add_table(
-      std::make_unique<SoaDistanceTableAA<double>>(p->lattice(), n, DTUpdateMode::ForwardUpdate));
-  p->update();
-  auto& dt = p->template table_as<SoaDistanceTableAA<double>>(ti);
-  const int k = 3;
-  const TinyVector<double, 3> rnew = p->pos(k) + TinyVector<double, 3>{0.7, 0.1, -0.4};
-  p->make_move(k, rnew);
-  p->accept_move(k);
-  // Rows i > k must see the new distance at column k without refresh.
-  for (int i = k + 1; i < n; ++i)
-    EXPECT_NEAR(dt.row_d(i)[k], exact_dist(p->lattice(), p->pos(i), p->pos(k)), 1e-12) << i;
-}
 
 TEST(DistanceTableAASoA, SelfDistanceIsSentinel)
 {
@@ -416,12 +384,11 @@ DriverConfig parity_config(int steps, int walkers)
   return cfg;
 }
 
-RunResult run_graphite(LayoutMode layout, DTUpdateMode mode, bool dmc, int steps, int walkers)
+RunResult run_graphite(LayoutMode layout, bool dmc, int steps, int walkers)
 {
   const WorkloadInfo& info = workload_info(Workload::Graphite);
   BuildOptions opt;
   opt.layout = layout;
-  opt.dt_mode = mode;
   auto sys = build_system<double>(info, opt);
   QMCDriver<double> driver(*sys.elec, *sys.twf, *sys.ham, parity_config(steps, walkers));
   driver.initialize_population();
@@ -448,32 +415,18 @@ TEST(LayoutParity, GraphiteVmcChainBitwiseIdentical)
   // Acceptance gate of the SoA-canonical refactor: the Reference (AoS)
   // layout, consumed through the unified row interface, reproduces the
   // canonical chain exactly -- layout is storage, not physics.
-  const RunResult soa = run_graphite(LayoutMode::Canonical, DTUpdateMode::OnTheFly,
-                                     /*dmc=*/false, /*steps=*/2, /*walkers=*/2);
-  const RunResult aos = run_graphite(LayoutMode::Reference, DTUpdateMode::OnTheFly,
-                                     /*dmc=*/false, 2, 2);
+  const RunResult soa = run_graphite(LayoutMode::Canonical, /*dmc=*/false, /*steps=*/2,
+                                     /*walkers=*/2);
+  const RunResult aos = run_graphite(LayoutMode::Reference, /*dmc=*/false, 2, 2);
   expect_chains_identical(soa, aos, "vmc");
 }
 
 TEST(LayoutParity, GraphiteDmcChainBitwiseIdentical)
 {
-  const RunResult soa = run_graphite(LayoutMode::Canonical, DTUpdateMode::OnTheFly,
-                                     /*dmc=*/true, /*steps=*/3, /*walkers=*/2);
-  const RunResult aos = run_graphite(LayoutMode::Reference, DTUpdateMode::OnTheFly,
-                                     /*dmc=*/true, 3, 2);
+  const RunResult soa = run_graphite(LayoutMode::Canonical, /*dmc=*/true, /*steps=*/3,
+                                     /*walkers=*/2);
+  const RunResult aos = run_graphite(LayoutMode::Reference, /*dmc=*/true, 3, 2);
   expect_chains_identical(soa, aos, "dmc");
-}
-
-TEST(DTUpdateModeParity, ForwardUpdateAndOnTheFlyChainsIdentical)
-{
-  // Multi-block DMC with branching: the ForwardUpdate column refresh and
-  // the OnTheFly prepare-time row recompute must expose identical
-  // committed data to every consumer (paper Sec. 7.5 equivalence).
-  const RunResult fu = run_graphite(LayoutMode::Canonical, DTUpdateMode::ForwardUpdate,
-                                    /*dmc=*/true, /*steps=*/4, /*walkers=*/3);
-  const RunResult otf = run_graphite(LayoutMode::Canonical, DTUpdateMode::OnTheFly,
-                                     /*dmc=*/true, 4, 3);
-  expect_chains_identical(fu, otf, "fu-vs-otf");
 }
 
 TEST(DistanceTableSkewedCell, SoaFallbackMatchesAos)

@@ -336,6 +336,42 @@ class TestFullPrecDriftAccumulator(LintFixtureCase):
                           "inline void f() { float drift = 0; (void)drift; }\n")
 
 
+class TestDanglingDocReference(LintFixtureCase):
+    def test_fires_on_missing_document(self):
+        self.assert_fires("dangling-doc-reference", "src/numerics/bad_cite.h",
+                          "// Parameters are substitutes (DESIGN.md).\nint x;\n")
+
+    def test_fires_on_missing_path_in_block_comment(self):
+        self.write("docs/API.md", "# API\n")
+        self.assert_fires("dangling-doc-reference", "bench/bad_cite.cpp",
+                          "/* see docs/DESIGN.md */\nint x;\n")
+
+    def test_fires_in_tests_and_examples(self):
+        self.assert_fires("dangling-doc-reference", "tests/bad_cite.cpp",
+                          "int x; // NOTES.md\n")
+        self.assert_fires("dangling-doc-reference", "examples/bad_cite.cpp",
+                          "int x; // NOTES.md\n")
+
+    def test_existing_document_is_clean(self):
+        self.write("docs/API.md", "# API\n")
+        self.assert_clean("src/numerics/ok_cite.h",
+                          "// see docs/API.md, \"Substitutions\"; also API.md\nint x;\n")
+
+    def test_path_relative_to_citing_file_is_clean(self):
+        self.write("bench/README.md", "# benches\n")
+        self.assert_clean("bench/ok_cite.cpp", "// see ./README.md\nint x;\n")
+
+    def test_urls_are_not_repo_paths(self):
+        self.assert_clean("src/io/ok_url.h", "// https://example.org/spec/README.md\nint x;\n")
+
+    def test_code_and_strings_do_not_fire(self):
+        self.assert_clean("src/io/ok_string.cpp",
+                          "const char* name = \"DESIGN.md\";\n")
+
+    def test_other_directories_are_out_of_scope(self):
+        self.assert_clean("tools/ok_cite.cpp", "// DESIGN.md\nint x;\n")
+
+
 class TestSuppression(LintFixtureCase):
     def test_allow_on_same_line(self):
         self.assert_clean(
@@ -401,7 +437,7 @@ class TestCliContract(LintFixtureCase):
         for rule in ("rng-outside-core", "aos-in-hot-path", "chrono-outside-instrument",
                      "cout-in-src", "io-outside-snapshot", "double-in-tr-template",
                      "scalar-spo-in-crowd-path", "float-accumulator-in-estimator",
-                     "fullprec-drift-accumulator"):
+                     "fullprec-drift-accumulator", "dangling-doc-reference"):
             self.assertIn(rule, out)
 
 

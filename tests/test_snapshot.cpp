@@ -765,6 +765,12 @@ TEST(JobSpec, RejectsUnknownKeysAndMalformedInput)
   EXPECT_THROW((void)io::parse_job_spec(R"({"dmc": maybe})", "j"), std::runtime_error);
   EXPECT_THROW((void)io::parse_job_spec("{", "j"), std::runtime_error);
   EXPECT_THROW((void)io::parse_job_spec(R"({} trailing)", "j"), std::runtime_error);
+  // Integers outside int range are rejected, not wrapped (4294967304
+  // would otherwise narrow to 8, and -4294967295 to 1).
+  EXPECT_THROW((void)io::parse_job_spec(R"({"driver": {"num_walkers": 4294967304}})", "j"),
+               std::runtime_error);
+  EXPECT_THROW((void)io::parse_job_spec(R"({"driver": {"steps": -4294967295}})", "j"),
+               std::runtime_error);
   try
   {
     (void)io::parse_job_spec(R"({"driver": {"stepz": 3}})", "badjob");

@@ -1,9 +1,12 @@
 // Unit tests: SPO sets -- the Cartesian transform (SPO-vgl kernel),
-// layout/precision agreement, and synthetic orbital generation.
+// layout/precision agreement, synthetic orbital generation, and
+// scalar-vs-batched SPO chain parity.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "drivers/qmc_system.h"
 #include "numerics/linalg.h"
 #include "numerics/rng.h"
 #include "wavefunction/spo_set.h"
@@ -202,3 +205,78 @@ TEST(SPOSet, TableBytesMatchBackend)
   EXPECT_EQ(spos.table_bytes(), backend->coefficient_bytes());
   EXPECT_EQ(spos.num_orbitals(), 6);
 }
+
+// ---------------------------------------------------------------------
+// Scalar-vs-batched SPO chain parity: crowd_size 1 drives the per-walker
+// scalar SPO calls, crowd_size 4 the crowd-batched mw_evaluate_* kernels.
+// The two Graphite chains must be bitwise identical.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+struct SpoChainCase
+{
+  const char* name;
+  EngineVariant variant;
+  bool dmc;
+  int delay_rank;
+};
+
+RunResult run_graphite_chain(const SpoChainCase& c, int crowd_size)
+{
+  EngineRunSpec spec;
+  spec.workload = Workload::Graphite;
+  spec.variant = c.variant;
+  spec.dmc = c.dmc;
+  spec.driver.tau = 0.02;
+  spec.driver.steps = 2;
+  spec.driver.num_walkers = 6;
+  spec.driver.seed = 20170708;
+  spec.driver.recompute_period = 3;
+  spec.driver.crowd_size = crowd_size;
+  spec.driver.num_threads = 1;
+  spec.driver.delay_rank = c.delay_rank;
+  return run_engine(spec).result;
+}
+
+} // namespace
+
+class SpoChainParity : public ::testing::TestWithParam<SpoChainCase>
+{};
+
+TEST_P(SpoChainParity, CrowdOneAndFourBitwiseIdentical)
+{
+  const RunResult scalar = run_graphite_chain(GetParam(), /*crowd_size=*/1);
+  const RunResult batched = run_graphite_chain(GetParam(), /*crowd_size=*/4);
+  ASSERT_EQ(scalar.generations.size(), batched.generations.size());
+  for (std::size_t g = 0; g < scalar.generations.size(); ++g)
+  {
+    const GenerationStats& a = scalar.generations[g];
+    const GenerationStats& b = batched.generations[g];
+    EXPECT_EQ(a.energy, b.energy) << "generation " << g;
+    EXPECT_EQ(a.variance, b.variance) << "generation " << g;
+    EXPECT_EQ(a.weight, b.weight) << "generation " << g;
+    EXPECT_EQ(a.num_walkers, b.num_walkers) << "generation " << g;
+    EXPECT_EQ(a.acceptance, b.acceptance) << "generation " << g;
+    EXPECT_EQ(a.trial_energy, b.trial_energy) << "generation " << g;
+  }
+  EXPECT_EQ(scalar.mean_energy, batched.mean_energy);
+  EXPECT_EQ(scalar.mean_variance, batched.mean_variance);
+}
+
+// The double-precision Current VMC and DMC chains are covered by
+// CrowdParity.GraphiteVmcCrowdMatchesScalar / GraphiteDmcCrowdMatchesScalar.
+INSTANTIATE_TEST_SUITE_P(
+    Graphite, SpoChainParity,
+    ::testing::Values(
+        // float spline kernels: reassociation in the fused batched
+        // accumulation would show up immediately in single precision.
+        SpoChainCase{"FloatCurrentVmc", EngineVariant::Current, false, 1},
+        // AoS backend, whose *_multi entry points are flat per-position loops.
+        SpoChainCase{"RefVmc", EngineVariant::Ref, false, 1},
+        // Delayed updates route NLPP ratios through effective_row.
+        SpoChainCase{"CurrentDPDmcDelay4", EngineVariant::CurrentDP, true, 4}),
+    [](const ::testing::TestParamInfo<SpoChainCase>& pinfo) {
+      return std::string(pinfo.param.name);
+    });

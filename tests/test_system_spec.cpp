@@ -269,6 +269,13 @@ TEST(SpecParser, RejectsUndersizedGrid)
                      "grid dimensions");
 }
 
+TEST(SpecParser, RejectsOutOfRangeInteger)
+{
+  // 2^32 + 16 would narrow to the tiny spec's own 16 electrons.
+  expect_parse_fails(tiny_spec_with("\"num_electrons\": 16", "\"num_electrons\": 4294967312"),
+                     "integer out of range");
+}
+
 TEST(JobSpecParser, AcceptsSpecPathAndEstimators)
 {
   const io::JobSpec job = io::parse_job_spec(

@@ -64,6 +64,12 @@ fullprec-drift-accumulator  Inverse-drift guard accumulators in
                          cannot see the drift it is guarding against.
                          Row *storage* (Matrix<TR> scratch) stays TR -- only
                          scalar declarations are flagged.
+dangling-doc-reference   A comment under src/, bench/, tests/ or examples/
+                         that names a *.md file must name one that exists.
+                         A path with a directory resolves against the repo
+                         root or the citing file's directory; a bare file
+                         name may live anywhere in the repo. A comment that
+                         cites a missing document sends the reader nowhere.
 
 Suppression
 -----------
@@ -127,13 +133,16 @@ class Rule:
         raise NotImplementedError
 
 
-def _strip_comments_and_strings(lines: list[str]) -> list[str]:
-    """Blank out comments and string/char literals, preserving line
+def _split_code_and_comments(lines: list[str]) -> tuple[list[str], list[str]]:
+    """Per line, return (code with comments and string/char literals
+    blanked out, the text of the line's comments), preserving line
     structure so findings keep their line numbers."""
     out = []
+    comments = []
     in_block = False
     for line in lines:
         res = []
+        com = []
         i, n = 0, len(line)
         while i < n:
             c = line[i]
@@ -142,9 +151,11 @@ def _strip_comments_and_strings(lines: list[str]) -> list[str]:
                     in_block = False
                     i += 2
                 else:
+                    com.append(c)
                     i += 1
                 continue
             if c == "/" and i + 1 < n and line[i + 1] == "/":
+                com.append(line[i + 2:])
                 break  # rest of line is a comment
             if c == "/" and i + 1 < n and line[i + 1] == "*":
                 in_block = True
@@ -167,7 +178,12 @@ def _strip_comments_and_strings(lines: list[str]) -> list[str]:
             res.append(c)
             i += 1
         out.append("".join(res))
-    return out
+        comments.append("".join(com))
+    return out, comments
+
+
+def _strip_comments_and_strings(lines: list[str]) -> list[str]:
+    return _split_code_and_comments(lines)[0]
 
 
 class PatternRule(Rule):
@@ -319,6 +335,52 @@ class ScalarSpoInCrowdPathRule(Rule):
         return findings
 
 
+class DanglingDocReferenceRule(Rule):
+    """Flag comments that name a *.md document the repo does not have."""
+
+    # A ':' before the token marks a URL, which is not a repo path.
+    MD_RE = re.compile(r"(?<![\w./:-])([\w./-]*\w\.md)\b")
+    # Build trees, VCS metadata and tool caches hold no cited documents.
+    SKIP_DIR_RE = re.compile(r"^(?:\.|build|__pycache__$)")
+
+    def __init__(self, rule_id: str, description: str,
+                 include_dirs: tuple[str, ...] = ()):
+        super().__init__(rule_id, description)
+        self.include_dirs = include_dirs
+        self._md_names: set[str] | None = None
+
+    def applies_to(self, relpath: str) -> bool:
+        return any(relpath.startswith(d) for d in self.include_dirs)
+
+    def _known_names(self) -> set[str]:
+        if self._md_names is None:
+            self._md_names = set()
+            for dirpath, dirnames, filenames in os.walk(REPO_ROOT):
+                dirnames[:] = [d for d in dirnames if not self.SKIP_DIR_RE.match(d)]
+                self._md_names.update(fn for fn in filenames if fn.endswith(".md"))
+        return self._md_names
+
+    def _exists(self, relpath: str, ref: str) -> bool:
+        if "/" not in ref:
+            return ref in self._known_names()
+        here = os.path.dirname(os.path.join(REPO_ROOT, relpath))
+        return (os.path.isfile(os.path.join(REPO_ROOT, ref))
+                or os.path.isfile(os.path.join(here, ref)))
+
+    def scan(self, relpath: str, lines: list[str]) -> list[Finding]:
+        findings = []
+        _, comments = _split_code_and_comments(lines)
+        for lineno, text in enumerate(comments, start=1):
+            for m in self.MD_RE.finditer(text):
+                if not self._exists(relpath, m.group(1)):
+                    findings.append(Finding(
+                        relpath, lineno, self.rule_id,
+                        f"comment cites '{m.group(1)}', which is not in the repo: "
+                        "point it at an existing document (docs/API.md) or "
+                        "drop the reference"))
+        return findings
+
+
 RULES: list[Rule] = [
     PatternRule(
         "rng-outside-core",
@@ -395,6 +457,11 @@ RULES: list[Rule] = [
         "residual computed in the monitored precision cannot see the "
         "drift it guards against",
         include_dirs=("src/wavefunction/",),
+    ),
+    DanglingDocReferenceRule(
+        "dangling-doc-reference",
+        "comments citing *.md files that do not exist",
+        include_dirs=("src/", "bench/", "tests/", "examples/"),
     ),
 ]
 
