@@ -16,9 +16,22 @@
 
 #include "drivers/qmc_system.h"
 #include "instrument/report.h"
+#include "io/job_spec.h"
+#include "workloads/system_spec.h"
 
 namespace qmcxx::bench
 {
+
+/// The paper's four Table 1 workloads, in table order.
+inline constexpr Workload paper_workloads[] = {Workload::Graphite, Workload::Be64,
+                                               Workload::NiO32, Workload::NiO64};
+
+/// The committed spec file of a paper workload, parsed.
+inline SystemSpec load_spec(Workload w)
+{
+  const std::string path = io::workload_spec_path(w);
+  return io::parse_system_spec(io::read_text_file(path), path);
+}
 
 inline bool long_mode()
 {
@@ -50,7 +63,7 @@ inline DriverConfig default_config(Workload w)
 inline EngineReport run(Workload w, EngineVariant v, bool dmc = true)
 {
   EngineRunSpec spec;
-  spec.workload = w;
+  spec.spec_path = io::workload_spec_path(w);
   spec.variant = v;
   spec.dmc = dmc;
   spec.driver = default_config(w);

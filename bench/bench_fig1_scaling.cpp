@@ -36,7 +36,7 @@ void run_real_thread_sweep(bench::BenchJsonWriter& json)
   for (int threads : {1, 2, 4})
   {
     EngineRunSpec spec;
-    spec.workload = Workload::NiO32;
+    spec.spec_path = io::workload_spec_path(Workload::NiO32);
     spec.variant = EngineVariant::Current;
     spec.dmc = true;
     spec.driver = bench::default_config(Workload::NiO32);

@@ -111,7 +111,7 @@ int main(int argc, char** argv)
               roofs.peak_gflops_dp);
   std::printf("  DRAM: %.1f GB/s, cache: %.1f GB/s\n\n", roofs.dram_gbs, roofs.cache_gbs);
 
-  const WorkloadInfo& info = workload_info(Workload::NiO32);
+  const SystemSpec info = bench::load_spec(Workload::NiO32);
   EngineReport reports[2] = {bench::run(Workload::NiO32, EngineVariant::Ref),
                              bench::run(Workload::NiO32, EngineVariant::Current)};
   const EngineVariant variants[2] = {EngineVariant::Ref, EngineVariant::Current};

@@ -26,7 +26,7 @@ int main()
       reports[c] = bench::run(w, variants[c]);
     const double base = reports[0].result.throughput;
 
-    std::printf("\n%s (normalized to Ref):\n", workload_info(w).name.c_str());
+    std::printf("\n%s (normalized to Ref):\n", bench::load_spec(w).name.c_str());
     std::vector<std::vector<std::string>> rows;
     rows.push_back({"config", "throughput", "speedup", "footprint", "peak", "walker-buffers",
                     "dist-tables", "spline"});

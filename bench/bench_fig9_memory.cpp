@@ -18,10 +18,10 @@ int main()
   std::vector<std::vector<std::string>> rows;
   rows.push_back({"workload", "config", "footprint", "walker-buffers", "dist-tables", "spline",
                   "reduction"});
-  for (Workload w : all_workloads)
+  for (Workload w : bench::paper_workloads)
   {
     EngineRunSpec spec;
-    spec.workload = w;
+    spec.spec_path = io::workload_spec_path(w);
     spec.driver = bench::default_config(w);
     spec.driver.steps = 0; // setup only: footprint measurement
     EngineReport rep[2];
@@ -35,7 +35,7 @@ int main()
     {
       const double reduction = static_cast<double>(rep[0].footprint_bytes) /
           static_cast<double>(rep[c].footprint_bytes);
-      rows.push_back({workload_info(w).name, to_string(variants[c]),
+      rows.push_back({bench::load_spec(w).name, to_string(variants[c]),
                       format_bytes(rep[c].footprint_bytes), format_bytes(rep[c].walker_bytes),
                       format_bytes(rep[c].dist_table_bytes), format_bytes(rep[c].spline_bytes),
                       c == 0 ? "1.00x" : fmt(reduction, 2) + "x"});

@@ -37,7 +37,7 @@ int main(int argc, char** argv)
   for (int threads : sweep)
   {
     EngineRunSpec spec;
-    spec.workload = Workload::NiO32;
+    spec.spec_path = io::workload_spec_path(Workload::NiO32);
     spec.variant = EngineVariant::Current;
     spec.driver = bench::default_config(Workload::NiO32);
     spec.driver.num_walkers = 4;

@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include "drivers/crowd.h"
+#include "io/job_spec.h"
 #include "numerics/linalg.h"
 #include "numerics/rng.h"
 #include "numerics/spline_builder.h"
@@ -196,7 +197,8 @@ template<bool BATCHED>
 void bm_crowd_ratio_grad(benchmark::State& state)
 {
   const int nw = static_cast<int>(state.range(0));
-  const WorkloadInfo& info = workload_info(Workload::Graphite);
+  const std::string path = io::workload_spec_path(Workload::Graphite);
+  const SystemSpec info = io::parse_system_spec(io::read_text_file(path), path);
   BuildOptions opt;
   opt.with_hamiltonian = false;
   auto sys = build_system<float>(info, opt);

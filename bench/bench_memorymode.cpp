@@ -59,7 +59,7 @@ int main()
                   "paper DDR", "mem-bound"});
   for (Workload w : {Workload::NiO32, Workload::NiO64})
   {
-    const WorkloadInfo& info = workload_info(w);
+    const SystemSpec info = bench::load_spec(w);
     const EngineReport rep = bench::run(w, EngineVariant::Current);
     auto kernels = build_roofline(rep.profile, info, EngineVariant::Current);
     // Treat the non-kernel remainder (Ewald, branching) as compute work

@@ -18,7 +18,7 @@ namespace
 EngineReport run_with_precision(Workload w, Precision p)
 {
   EngineRunSpec spec;
-  spec.workload = w;
+  spec.spec_path = io::workload_spec_path(w);
   // Soa layout for both runs; the policy supplies the word size, so the
   // measured delta is purely sizeof(TR) (Current vs CurrentDP).
   spec.variant = EngineVariant::Current;
@@ -41,7 +41,7 @@ int main()
 
   for (Workload w : {Workload::Graphite, Workload::NiO32})
   {
-    const std::string name = workload_info(w).name;
+    const std::string name = bench::load_spec(w).name;
     EngineReport reports[2];
     const Precision precisions[2] = {Precision::Single, Precision::Double};
     for (int c = 0; c < 2; ++c)

@@ -65,7 +65,7 @@ int main()
 
   for (const Workload wl : {Workload::Graphite, Workload::NiO64})
   {
-    const WorkloadInfo& info = workload_info(wl);
+    const SystemSpec info = bench::load_spec(wl);
     const bool big = wl == Workload::NiO64;
     const int walkers = big ? 2 : 4;
     const int reps = bench::long_mode() ? 10 : 3;

@@ -25,14 +25,14 @@ int main()
   std::vector<std::string> host_row{"this host (measured)"};
   std::vector<double> speedups;
   bench::BenchJsonWriter json("table2_speedups");
-  for (Workload w : all_workloads)
+  for (Workload w : bench::paper_workloads)
   {
     const EngineReport ref = bench::run(w, EngineVariant::Ref);
     const EngineReport cur = bench::run(w, EngineVariant::Current);
     const double speedup = cur.result.throughput / ref.result.throughput;
     speedups.push_back(speedup);
     host_row.push_back(fmt(speedup, 2));
-    const std::string name = workload_info(w).name;
+    const std::string name = bench::load_spec(w).name;
     json.add_engine_record(name, to_string(EngineVariant::Ref), ref);
     json.add_engine_record(name, to_string(EngineVariant::Current), cur);
     json.add_metric("speedup_over_ref", speedup);

@@ -13,6 +13,7 @@
 
 #include "drivers/qmc_system.h"
 #include "instrument/report.h"
+#include "io/job_spec.h"
 
 using namespace qmcxx;
 
@@ -23,13 +24,14 @@ int main(int argc, char** argv)
     if (!std::strcmp(argv[a], "--steps"))
       steps = std::atoi(argv[a + 1]);
 
-  const WorkloadInfo& info = workload_info(Workload::Be64);
-  std::printf("Be-64 all-electron (N = %d, no pseudopotential)\n", info.num_electrons);
+  const std::string path = io::workload_spec_path(Workload::Be64);
+  const SystemSpec sys = io::parse_system_spec(io::read_text_file(path), path);
+  std::printf("Be-64 all-electron (N = %d, no pseudopotential)\n", sys.num_electrons);
 
   for (EngineVariant v : {EngineVariant::Ref, EngineVariant::Current})
   {
     EngineRunSpec spec;
-    spec.workload = Workload::Be64;
+    spec.spec_path = path;
     spec.variant = v;
     spec.dmc = true;
     spec.driver.steps = steps;

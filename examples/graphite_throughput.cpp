@@ -69,7 +69,7 @@ int main(int argc, char** argv)
     // Calibrate: one short run to estimate step cost, then fill the
     // budget.
     EngineRunSpec spec;
-    spec.workload = Workload::Graphite;
+    spec.spec_path = io::workload_spec_path(Workload::Graphite);
     spec.variant = variants[c];
     spec.dmc = false;
     spec.driver.num_walkers = 2;

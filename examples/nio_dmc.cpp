@@ -33,7 +33,7 @@ void on_signal(int) { g_stop.store(true); }
 int main(int argc, char** argv)
 {
   EngineRunSpec spec;
-  spec.workload = Workload::NiO32;
+  spec.spec_path = io::workload_spec_path(Workload::NiO32);
   spec.variant = EngineVariant::Current;
   spec.dmc = true;
   spec.driver.tau = 0.02;
@@ -44,7 +44,7 @@ int main(int argc, char** argv)
   for (int a = 1; a < argc; ++a)
   {
     if (!std::strcmp(argv[a], "--nio64"))
-      spec.workload = Workload::NiO64;
+      spec.spec_path = io::workload_spec_path(Workload::NiO64);
     else if (a + 1 < argc && !std::strcmp(argv[a], "--variant"))
     {
       const std::string v = argv[++a];
@@ -72,9 +72,11 @@ int main(int argc, char** argv)
   spec.driver.stop_flag = &g_stop;
   std::signal(SIGINT, on_signal);
 
-  const WorkloadInfo& info = workload_info(spec.workload);
-  std::printf("%s DMC, %s engine: %d electrons, %d ions, tau = %.3f\n", info.name.c_str(),
-              to_string(spec.variant), info.num_electrons, info.num_ions, spec.driver.tau);
+  const SystemSpec sys =
+      io::parse_system_spec(io::read_text_file(spec.spec_path), spec.spec_path);
+  std::printf("%s DMC, %s engine: %d electrons, %zu ions, tau = %.3f\n", sys.name.c_str(),
+              to_string(spec.variant), sys.num_electrons, sys.ion_positions.size(),
+              spec.driver.tau);
 
   const EngineReport rep = run_engine(spec);
 

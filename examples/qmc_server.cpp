@@ -3,9 +3,9 @@
 //   ./qmc_server --spool DIR [--once] [--threads N] [--poll-ms M]
 //   ./qmc_server --stdin   [--threads N]
 //
-// Jobs are JSON objects (src/io/job_spec.h): workload (or a spec_path
-// to a qmcxx-spec-v1 system file) + engine variant + DriverConfig
-// knobs; "estimators": true additionally streams named observables
+// Jobs are JSON objects (src/io/job_spec.h): a spec_path to a
+// qmcxx-spec-v1 system file (or the "workload" name of a paper one) +
+// engine variant + DriverConfig knobs; "estimators": true additionally streams named observables
 // (per-component energies, g(r)/S(k) bins) in each generation record.
 // Spool mode scans DIR for *.json requests in sorted order and drives
 // each through ParallelCrowdRunner; stdin mode reads one job per line
@@ -178,7 +178,6 @@ JobOutcome run_spool_job(const std::string& path, const ServerOptions& opt)
   }
 
   EngineRunSpec spec;
-  spec.workload = job.workload;
   spec.spec_path = job.spec_path;
   spec.variant = job.variant;
   spec.dmc = job.dmc;
@@ -200,12 +199,8 @@ JobOutcome run_spool_job(const std::string& path, const ServerOptions& opt)
     spec.driver.on_generation = [&](int gen, const GenerationStats& s) {
       stream.append(generation_record(name, gen, s));
     };
-    // A spec_path job's display name is the file itself; only enum jobs
-    // may consult the workload table.
-    const std::string system_name =
-        job.spec_path.empty() ? workload_info(job.workload).name : job.spec_path;
     std::fprintf(stderr, "qmc_server: running %s (%s %s, %s, %d steps, %d walkers)\n",
-                 name.c_str(), system_name.c_str(), job.dmc ? "DMC" : "VMC",
+                 name.c_str(), job.spec_path.c_str(), job.dmc ? "DMC" : "VMC",
                  to_string(job.variant), job.driver.steps, job.driver.num_walkers);
     const EngineReport rep = run_engine(spec);
     if (rep.result.interrupted)
@@ -270,7 +265,6 @@ int serve_stdin(const ServerOptions& opt)
     {
       const io::JobSpec job = io::parse_job_spec(text, name);
       EngineRunSpec spec;
-      spec.workload = job.workload;
       spec.spec_path = job.spec_path;
       spec.variant = job.variant;
       spec.dmc = job.dmc;

@@ -4,8 +4,9 @@
 //
 //   ./quickstart [--steps N] [--walkers N]
 //
-// Walks through the full public API surface: workload description ->
-// system builder -> driver -> statistics.
+// Walks through the full public API surface: system description
+// (SystemSpec, the struct a specs/*.json file parses into) -> system
+// builder -> driver -> statistics.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -29,22 +30,17 @@ int main(int argc, char** argv)
 
   // 1. Describe a small periodic system: 4 ions (Z* = 4) in a 7 bohr
   //    cubic cell, 16 electrons, synthetic orbitals on a 10^3 grid.
-  WorkloadInfo w;
-  w.name = "quickstart";
-  w.id = Workload::Graphite; // tag only
-  w.num_electrons = 16;
-  w.num_ions = 4;
-  w.ions_per_unit_cell = 4;
-  w.num_unit_cells = 1;
-  w.ion_types = "X(4)";
-  w.has_pseudopotential = true;
-  w.grid = {10, 10, 10};
-  w.num_orbitals = 8;
-  w.species = {{"X", 4.0, -0.4, 1.1, 0.6, 0.8, 0.9, 1.6}};
-  w.ion_counts = {4};
-  w.lattice = Lattice::cubic(7.0);
-  w.ion_positions = {{1.75, 1.75, 1.75}, {5.25, 5.25, 1.75}, {5.25, 1.75, 5.25},
-                     {1.75, 5.25, 5.25}};
+  SystemSpec spec;
+  spec.name = "quickstart";
+  spec.num_electrons = 16;
+  spec.has_pseudopotential = true;
+  spec.grid = {10, 10, 10};
+  spec.num_orbitals = 8;
+  spec.species = {{"X", 4.0, -0.4, 1.1, 0.6, 0.8, 0.9, 1.6}};
+  spec.ion_counts = {4};
+  spec.lattice = Lattice::cubic(7.0);
+  spec.ion_positions = {{1.75, 1.75, 1.75}, {5.25, 5.25, 1.75}, {5.25, 1.75, 5.25},
+                        {1.75, 5.25, 5.25}};
 
   // 2. Build the system: SoA layout + float tables = the paper's
   //    "Current" configuration (BuildOptions{.soa_layout=false} gives
@@ -52,10 +48,9 @@ int main(int argc, char** argv)
   //    engine but swaps in the Fig. 6a AoS distance tables, which the
   //    parity tests use to prove the layouts chain-identical).
   BuildOptions opt;
-  auto sys = build_system<float>(w, opt);
+  auto sys = build_system<float>(spec, opt);
   std::printf("system: %d electrons, %d ions, %d orbitals/spin, cell V = %.1f bohr^3\n",
-              sys.elec->size(), sys.ions->size(), sys.spos->num_orbitals(),
-              w.lattice.volume());
+              sys.elec->size(), sys.ions->size(), sys.spos->num_orbitals(), spec.lattice.volume());
 
   // 3. Run VMC to equilibrate, then DMC (paper Alg. 1).
   DriverConfig cfg;

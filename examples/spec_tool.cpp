@@ -1,14 +1,11 @@
-// spec_tool: exporter / validator for qmcxx-spec-v1 system files.
+// spec_tool: validator / summarizer for qmcxx-spec-v1 system files.
 //
-//   ./spec_tool --export DIR        write the canonical spec set
 //   ./spec_tool --validate FILE...  parse + build each spec, fail loudly
 //   ./spec_tool --describe FILE...  parse + print each spec's summary
 //
-// --export writes the four paper workloads (lossless to_spec conversion
-// of the Workload enum table -- these are the committed specs/*.json
-// that reproduce the enum-built systems bit-for-bit) plus two
-// spec-only systems with no enum counterpart (Graphite-32, NiO-48),
-// which exist purely through the ingestion path.
+// The committed specs/*.json files are the only system definitions
+// (the four paper workloads plus spec-only systems such as Graphite-32
+// and NiO-48); they are edited as files and checked here.
 //
 // --validate is the CI gate for committed specs: each file must parse,
 // round-trip bitwise through serialize/parse, and build a complete
@@ -30,95 +27,6 @@ using namespace qmcxx;
 
 namespace
 {
-
-using Pos = TinyVector<double, 3>;
-
-/// Tile fractional basis positions over an n1 x n2 x n3 supercell
-/// (mirrors the workload table's construction).
-std::vector<Pos> tile_fractional(const std::vector<Pos>& basis, int n1, int n2, int n3,
-                                 const Lattice& supercell)
-{
-  std::vector<Pos> out;
-  for (int i = 0; i < n1; ++i)
-    for (int j = 0; j < n2; ++j)
-      for (int k = 0; k < n3; ++k)
-        for (const auto& f : basis)
-          out.push_back(
-              supercell.to_cart(Pos{(f[0] + i) / n1, (f[1] + j) / n2, (f[2] + k) / n3}));
-  return out;
-}
-
-/// Spec-only system #1: AB-stacked graphite at half the c-extent of the
-/// paper's Graphite cell (2 x 2 x 2 supercell, 32 carbons / 128
-/// electrons). No Workload enum value exists for it.
-SystemSpec make_graphite32()
-{
-  SystemSpec s;
-  s.name = "Graphite-32";
-  s.num_electrons = 128;
-  s.grid = {16, 16, 20};
-  s.num_orbitals = s.num_electrons / 2;
-  s.has_pseudopotential = true;
-  s.species = {{"C", 4.0, -0.35, 1.3, 0.8, 0.6, 0.8, 1.7}};
-  s.ion_counts = {32};
-  const double a = 4.65, c = 12.67;
-  s.lattice = Lattice::hexagonal(2 * a, 2 * c);
-  const std::vector<Pos> basis = {
-      {0, 0, 0}, {1.0 / 3, 2.0 / 3, 0}, {0, 0, 0.5}, {2.0 / 3, 1.0 / 3, 0.5}};
-  s.ion_positions = tile_fractional(basis, 2, 2, 2, s.lattice);
-  return s;
-}
-
-/// Spec-only system #2: rocksalt NiO on a 3 x 2 x 1 conventional-cell
-/// slab (24 Ni + 24 O, 576 electrons), between the paper's NiO-32 and
-/// NiO-64 sizes.
-SystemSpec make_nio48()
-{
-  SystemSpec s;
-  s.name = "NiO-48";
-  s.num_electrons = 576;
-  s.grid = {24, 24, 16};
-  s.num_orbitals = s.num_electrons / 2;
-  s.has_pseudopotential = true;
-  s.species = {{"Ni", 18.0, -1.2, 0.9, 0.55, 2.0, 0.9, 1.9},
-               {"O", 6.0, -0.5, 1.1, 0.70, 1.0, 0.85, 1.7}};
-  const double a0 = 7.89;
-  const int n1 = 3, n2 = 2, n3 = 1;
-  s.lattice = Lattice({Pos{n1 * a0, 0, 0}, Pos{0, n2 * a0, 0}, Pos{0, 0, n3 * a0}});
-  const std::vector<Pos> ni_basis = {{0, 0, 0}, {0.5, 0.5, 0}, {0.5, 0, 0.5}, {0, 0.5, 0.5}};
-  const std::vector<Pos> o_basis = {{0.5, 0, 0}, {0, 0.5, 0}, {0, 0, 0.5}, {0.5, 0.5, 0.5}};
-  auto ni = tile_fractional(ni_basis, n1, n2, n3, s.lattice);
-  auto ox = tile_fractional(o_basis, n1, n2, n3, s.lattice);
-  s.ion_positions = ni;
-  s.ion_positions.insert(s.ion_positions.end(), ox.begin(), ox.end());
-  s.ion_counts = {static_cast<int>(ni.size()), static_cast<int>(ox.size())};
-  return s;
-}
-
-int export_specs(const std::string& dir)
-{
-  struct Entry
-  {
-    std::string file;
-    SystemSpec spec;
-  };
-  std::vector<Entry> entries;
-  entries.push_back({"graphite.json", to_spec(workload_info(Workload::Graphite))});
-  entries.push_back({"be64.json", to_spec(workload_info(Workload::Be64))});
-  entries.push_back({"nio32.json", to_spec(workload_info(Workload::NiO32))});
-  entries.push_back({"nio64.json", to_spec(workload_info(Workload::NiO64))});
-  entries.push_back({"graphite-32.json", make_graphite32()});
-  entries.push_back({"nio-48.json", make_nio48()});
-  for (const Entry& e : entries)
-  {
-    const std::string path = dir + "/" + e.file;
-    io::write_text_file(path, io::serialize_system_spec(e.spec));
-    std::printf("spec_tool: wrote %s (%s, %d electrons, hash %llu)\n", path.c_str(),
-                e.spec.name.c_str(), e.spec.num_electrons,
-                static_cast<unsigned long long>(spec_content_hash(e.spec)));
-  }
-  return 0;
-}
 
 int validate_specs(const std::vector<std::string>& paths)
 {
@@ -188,15 +96,12 @@ int describe_specs(const std::vector<std::string>& paths)
 
 int main(int argc, char** argv)
 {
-  if (argc >= 3 && !std::strcmp(argv[1], "--export"))
-    return export_specs(argv[2]);
   if (argc >= 3 && !std::strcmp(argv[1], "--validate"))
     return validate_specs(std::vector<std::string>(argv + 2, argv + argc));
   if (argc >= 3 && !std::strcmp(argv[1], "--describe"))
     return describe_specs(std::vector<std::string>(argv + 2, argv + argc));
   std::fprintf(stderr,
-               "usage: spec_tool --export DIR\n"
-               "       spec_tool --validate FILE...\n"
+               "usage: spec_tool --validate FILE...\n"
                "       spec_tool --describe FILE...\n");
   return 1;
 }

@@ -95,11 +95,11 @@ Precision resolve_precision(const EngineRunSpec& spec, const SystemSpec& sysspec
 
 EngineReport run_engine(const EngineRunSpec& spec)
 {
-  // Single resolution point: enum workloads convert losslessly through
-  // to_spec, spec files parse into the same struct -- one build path.
-  const SystemSpec sysspec = spec.spec_path.empty()
-      ? to_spec(workload_info(spec.workload))
-      : io::parse_system_spec(io::read_text_file(spec.spec_path), spec.spec_path);
+  if (spec.spec_path.empty())
+    throw std::invalid_argument("run_engine: EngineRunSpec::spec_path is empty (name a "
+                                "qmcxx-spec-v1 system file, e.g. io::workload_spec_path)");
+  const SystemSpec sysspec =
+      io::parse_system_spec(io::read_text_file(spec.spec_path), spec.spec_path);
   const Precision prec = resolve_precision(spec, sysspec);
   // Orthogonal {layout} x {precision} dispatch: the variant supplies
   // only its layout half once precision is resolved.

@@ -1,7 +1,7 @@
-// Type-erased engine runner: one call runs a benchmark workload under a
-// named engine configuration (Ref / Ref+MP / Current) and returns the
-// figures of merit the paper reports -- throughput, hot-spot profile,
-// memory footprint -- alongside the physics statistics.
+// Type-erased engine runner: one call runs the system of a qmcxx-spec-v1
+// file under a named engine configuration (Ref / Ref+MP / Current) and
+// returns the figures of merit the paper reports -- throughput, hot-spot
+// profile, memory footprint -- alongside the physics statistics.
 #ifndef QMCXX_DRIVERS_QMC_SYSTEM_H
 #define QMCXX_DRIVERS_QMC_SYSTEM_H
 
@@ -11,7 +11,6 @@
 #include "config/config.h"
 #include "drivers/qmc_drivers.h"
 #include "instrument/timer.h"
-#include "workloads/workloads.h"
 
 namespace qmcxx
 {
@@ -30,10 +29,8 @@ struct EngineReport
 
 struct EngineRunSpec
 {
-  Workload workload = Workload::NiO32;
-  /// Path to a qmcxx-spec-v1 system file; when non-empty it replaces
-  /// the workload enum as the system source (the two build paths are
-  /// bitwise-identical for equal specs).
+  /// Path to the qmcxx-spec-v1 system file (required; the paper
+  /// workloads are io::workload_spec_path(Workload)).
   std::string spec_path;
   /// Engine configuration alias. Since precision became a runtime
   /// policy, the variant contributes its layout half unconditionally
@@ -48,7 +45,7 @@ struct EngineRunSpec
   /// default so benchmark timings stay estimator-free.
   bool estimators = false;
   /// Resume from a qmcxx-snap-v1 file instead of initializing a fresh
-  /// population. The snapshot must match this spec's workload, variant,
+  /// population. The snapshot must match this spec's system, variant,
   /// delay_rank and spec contents (fingerprint), seed, tau, and
   /// precision; the run then continues at the snapshot's generation
   /// counter.

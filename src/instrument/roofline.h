@@ -15,7 +15,7 @@
 
 #include "config/config.h"
 #include "instrument/timer.h"
-#include "workloads/workloads.h"
+#include "workloads/system_spec.h"
 
 namespace qmcxx
 {
@@ -43,8 +43,8 @@ struct MachineRoofs
 MachineRoofs measure_machine_roofs();
 
 /// Per-kernel analytic flop/byte totals for a run of `totals` on the
-/// given workload under the given engine variant.
-std::vector<KernelRoofline> build_roofline(const KernelTotals& totals, const WorkloadInfo& info,
+/// given system under the given engine variant.
+std::vector<KernelRoofline> build_roofline(const KernelTotals& totals, const SystemSpec& spec,
                                            EngineVariant variant);
 
 } // namespace qmcxx

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -344,6 +345,14 @@ Workload workload_from_name(const std::string& s)
                            "' (expected Graphite, Be-64, NiO-32 or NiO-64)");
 }
 
+std::string workload_spec_path(Workload w)
+{
+  // Indexed in Workload declaration order.
+  static constexpr const char* files[] = {"graphite.json", "be64.json", "nio32.json",
+                                          "nio64.json"};
+  return std::string(QMCXX_SPECS_DIR) + "/" + files[static_cast<int>(w)];
+}
+
 EngineVariant variant_from_name(const std::string& s)
 {
   const std::string n = lower(s);
@@ -374,6 +383,7 @@ JobSpec parse_job_spec(const std::string& json_text, const std::string& job_name
   JobSpec spec;
   spec.name = job_name;
   Parser p(json_text, job_name);
+  Workload workload = Workload::Graphite;
   bool saw_workload = false;
   p.expect('{');
   if (!p.consume_if('}'))
@@ -384,7 +394,7 @@ JobSpec parse_job_spec(const std::string& json_text, const std::string& job_name
       p.expect(':');
       if (key == "workload")
       {
-        spec.workload = workload_from_name(p.parse_string());
+        workload = workload_from_name(p.parse_string());
         saw_workload = true;
       }
       else if (key == "spec_path")
@@ -412,6 +422,8 @@ JobSpec parse_job_spec(const std::string& json_text, const std::string& job_name
     throw std::runtime_error("job '" + job_name +
                              "': \"workload\" and \"spec_path\" are mutually exclusive "
                              "(a spec file fully describes its system)");
+  if (spec.spec_path.empty())
+    spec.spec_path = workload_spec_path(workload);
   return spec;
 }
 
@@ -498,7 +510,9 @@ SystemSpec parse_system_spec(const std::string& json_text, const std::string& or
   for (const int g : spec.grid)
     if (g < 4)
       bad("orbital grid dimensions must be >= 4 (cubic B-spline support)");
-  if (spec.num_orbitals < (spec.num_electrons + 1) / 2)
+  // 64-bit arithmetic: hostile counts near INT_MAX must be rejected,
+  // not overflow.
+  if (spec.num_orbitals < (std::int64_t{spec.num_electrons} + 1) / 2)
     bad("orbital count " + std::to_string(spec.num_orbitals) +
         " cannot fill the larger spin determinant of " +
         std::to_string(spec.num_electrons) + " electrons");
@@ -508,8 +522,9 @@ SystemSpec parse_system_spec(const std::string& json_text, const std::string& or
     bad("delay_rank must be >= 1 (1 = rank-1 Sherman-Morrison)");
   if (spec.species.empty())
     bad("at least one ion species is required");
-  const int nion = std::accumulate(spec.ion_counts.begin(), spec.ion_counts.end(), 0);
-  if (nion != static_cast<int>(spec.ion_positions.size()))
+  const std::int64_t nion =
+      std::accumulate(spec.ion_counts.begin(), spec.ion_counts.end(), std::int64_t{0});
+  if (nion != static_cast<std::int64_t>(spec.ion_positions.size()))
     bad("species counts sum to " + std::to_string(nion) + " ions but " +
         std::to_string(spec.ion_positions.size()) + " ion_positions are given");
   spec.lattice = Lattice(rows);

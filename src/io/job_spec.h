@@ -1,6 +1,7 @@
-// Job requests for the qmc_server example: a workload name (or a
-// spec_path to a qmcxx-spec-v1 system file), an engine variant, and
-// DriverConfig knobs, parsed from a small JSON object.
+// Job requests for the qmc_server example: a system (a spec_path to a
+// qmcxx-spec-v1 file, or the "workload" name of one of the four paper
+// files), an engine variant, and DriverConfig knobs, parsed from a
+// small JSON object.
 //
 //   { "workload": "Graphite", "variant": "current", "dmc": false,
 //     "driver": { "steps": 64, "num_walkers": 16, "seed": 42,
@@ -29,8 +30,9 @@
 //     "ion_positions": [[0,0,0], ...] }
 //
 // Doubles are written with 17 significant digits, so
-// parse_system_spec(serialize_system_spec(s)) == s bitwise and a
-// committed spec file reproduces its enum-built system exactly.
+// parse_system_spec(serialize_system_spec(s)) == s bitwise. The
+// committed specs/ files are the only system definitions; Workload is
+// just a typed name for the four paper files among them.
 #ifndef QMCXX_IO_JOB_SPEC_H
 #define QMCXX_IO_JOB_SPEC_H
 
@@ -40,7 +42,20 @@
 #include "config/config.h"
 #include "drivers/qmc_drivers.h"
 #include "workloads/system_spec.h"
-#include "workloads/workloads.h"
+
+namespace qmcxx
+{
+
+/// The paper's four Table 1 workloads, each a committed specs/ file.
+enum class Workload
+{
+  Graphite,
+  Be64,
+  NiO32,
+  NiO64
+};
+
+} // namespace qmcxx
 
 namespace qmcxx::io
 {
@@ -48,9 +63,10 @@ namespace qmcxx::io
 struct JobSpec
 {
   std::string name;        ///< job id (spool file stem or "stdin-N")
-  Workload workload = Workload::Graphite;
-  /// Path to a qmcxx-spec-v1 system file; when set it replaces the
-  /// workload enum ("workload" and "spec_path" are mutually exclusive).
+  /// Path to the qmcxx-spec-v1 system file. The wire format also
+  /// accepts "workload": <name>, which resolves to that workload's
+  /// committed file (the two keys are mutually exclusive); with
+  /// neither key the job runs Graphite.
   std::string spec_path;
   EngineVariant variant = EngineVariant::Current;
   bool dmc = false;
@@ -67,6 +83,11 @@ struct JobSpec
 /// "Graphite"/"Be-64"/"NiO-32"/"NiO-64" (the paper's Table 1 names) or
 /// the aliases graphite/be64/nio32/nio64. Throws on anything else.
 [[nodiscard]] Workload workload_from_name(const std::string& s);
+
+/// The committed spec file of a paper workload:
+/// QMCXX_SPECS_DIR "/graphite.json", "/be64.json", "/nio32.json" or
+/// "/nio64.json".
+[[nodiscard]] std::string workload_spec_path(Workload w);
 
 /// "ref" / "refmp" / "current" / "currentdp" (case-insensitive, also
 /// accepts the display names "Ref+MP" etc). Throws on anything else.

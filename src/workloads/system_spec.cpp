@@ -4,22 +4,6 @@
 
 namespace qmcxx
 {
-
-SystemSpec to_spec(const WorkloadInfo& info)
-{
-  SystemSpec spec;
-  spec.name = info.name;
-  spec.num_electrons = info.num_electrons;
-  spec.grid = info.grid;
-  spec.num_orbitals = info.num_orbitals;
-  spec.has_pseudopotential = info.has_pseudopotential;
-  spec.species = info.species;
-  spec.ion_counts = info.ion_counts;
-  spec.lattice = info.lattice;
-  spec.ion_positions = info.ion_positions;
-  return spec;
-}
-
 namespace
 {
 

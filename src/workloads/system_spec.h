@@ -3,13 +3,13 @@
 // parameters), ion positions, synthetic-orbital parameters, Jastrow
 // knot count and default delay rank.
 //
-// This is the file-driven replacement for the fixed Workload enum
-// pipeline: the four paper workloads (workloads.h) convert losslessly
-// via to_spec() and are committed as specs/*.json, and any new system
-// is just another spec file -- no recompile. The JSON wire format
-// (qmcxx-spec-v1) lives in io/job_spec.h; doubles are serialized with
-// 17 significant digits so parse(serialize(spec)) == spec bitwise and
-// spec-built systems reproduce enum-built chains exactly.
+// The committed specs/*.json files are the only source of system
+// definitions: the four paper workloads (Table 1) and the spec-only
+// systems alike are qmcxx-spec-v1 files parsed into this struct, and a
+// new system is just another file -- no recompile. The JSON wire format
+// lives in io/job_spec.h, where the Workload enum names the four paper
+// files; doubles are serialized with 17 significant digits so
+// parse(serialize(spec)) == spec bitwise.
 #ifndef QMCXX_WORKLOADS_SYSTEM_SPEC_H
 #define QMCXX_WORKLOADS_SYSTEM_SPEC_H
 
@@ -18,10 +18,22 @@
 #include <string>
 #include <vector>
 
-#include "workloads/workloads.h"
+#include "particle/lattice.h"
 
 namespace qmcxx
 {
+
+struct IonSpecies
+{
+  std::string name;
+  double charge;     ///< valence charge Z* (paper Table 1)
+  double j1_depth;   ///< one-body Jastrow well depth (hartree)
+  double j1_width;   ///< one-body Jastrow width (bohr)
+  double r_core;     ///< local-pseudopotential core radius (bohr)
+  double nl_amplitude; ///< non-local channel strength (0 = none)
+  double nl_width;
+  double nl_rcut;
+};
 
 struct SystemSpec
 {
@@ -46,10 +58,6 @@ struct SystemSpec
   /// Ion positions (bohr), grouped by species to match ion_counts.
   std::vector<TinyVector<double, 3>> ion_positions;
 };
-
-/// Lossless conversion of a built-in workload: building from
-/// to_spec(workload_info(w)) is bitwise-identical to the enum path.
-[[nodiscard]] SystemSpec to_spec(const WorkloadInfo& info);
 
 /// FNV-1a hash over every field that shapes the built system (name,
 /// counts, grid, lattice bytes, species parameters, ion positions).

@@ -11,35 +11,13 @@
 #include "drivers/qmc_drivers.h"
 #include "workloads/system_builder.h"
 
+#include "test_utils.h"
+
 using namespace qmcxx;
+using namespace qmcxx::testing;
 
 namespace
 {
-
-/// A miniature workload (16 electrons, 4 ions) for fast crowd tests.
-WorkloadInfo tiny_workload()
-{
-  WorkloadInfo w;
-  w.name = "Tiny";
-  w.id = Workload::Graphite; // placeholder id
-  w.num_electrons = 16;
-  w.num_ions = 4;
-  w.ions_per_unit_cell = 4;
-  w.num_unit_cells = 1;
-  w.ion_types = "X(4)";
-  w.paper_unique_spos = 8;
-  w.paper_fft_grid = "-";
-  w.paper_spline_gb = 0;
-  w.has_pseudopotential = true;
-  w.grid = {10, 10, 10};
-  w.num_orbitals = 8;
-  w.species = {{"X", 4.0, -0.4, 1.1, 0.6, 0.8, 0.9, 1.6}};
-  w.ion_counts = {4};
-  w.lattice = Lattice::cubic(7.0);
-  w.ion_positions = {{1.75, 1.75, 1.75}, {5.25, 5.25, 1.75}, {5.25, 1.75, 5.25},
-                     {1.75, 5.25, 5.25}};
-  return w;
-}
 
 DriverConfig crowd_config(int crowd_size, int steps = 4, int walkers = 4)
 {
@@ -55,7 +33,7 @@ DriverConfig crowd_config(int crowd_size, int steps = 4, int walkers = 4)
 }
 
 template<typename TR>
-RunResult run_workload(const WorkloadInfo& info, const DriverConfig& cfg, bool dmc)
+RunResult run_workload(const SystemSpec& info, const DriverConfig& cfg, bool dmc)
 {
   BuildOptions opt;
   auto sys = build_system<TR>(info, opt);
@@ -135,7 +113,7 @@ TEST(CrowdParity, TinyVmcIdenticalAcrossCrowdSizes)
 {
   // Per-walker RNG streams are private, so the crowd path must replay
   // exactly the same Markov chain as the legacy per-walker path.
-  const WorkloadInfo info = tiny_workload();
+  const SystemSpec info = tiny_spec();
   const RunResult scalar = run_workload<double>(info, crowd_config(1), /*dmc=*/false);
   const RunResult crowd2 = run_workload<double>(info, crowd_config(2), /*dmc=*/false);
   const RunResult crowd4 = run_workload<double>(info, crowd_config(4), /*dmc=*/false);
@@ -145,7 +123,7 @@ TEST(CrowdParity, TinyVmcIdenticalAcrossCrowdSizes)
 
 TEST(CrowdParity, GraphiteVmcCrowdMatchesScalar)
 {
-  const WorkloadInfo& info = workload_info(Workload::Graphite);
+  const SystemSpec info = load_spec(Workload::Graphite);
   const RunResult scalar = run_workload<double>(info, crowd_config(1, /*steps=*/2), false);
   const RunResult crowd = run_workload<double>(info, crowd_config(4, /*steps=*/2), false);
   expect_traces_bitwise(scalar, crowd);
@@ -153,7 +131,7 @@ TEST(CrowdParity, GraphiteVmcCrowdMatchesScalar)
 
 TEST(CrowdParity, GraphiteDmcCrowdMatchesScalar)
 {
-  const WorkloadInfo& info = workload_info(Workload::Graphite);
+  const SystemSpec info = load_spec(Workload::Graphite);
   const RunResult scalar = run_workload<double>(info, crowd_config(1, /*steps=*/2), true);
   const RunResult crowd = run_workload<double>(info, crowd_config(4, /*steps=*/2), true);
   expect_traces_bitwise(scalar, crowd);
@@ -163,7 +141,7 @@ TEST(CrowdParity, PartialCrowdsAndOddPopulations)
 {
   // crowd_size that does not divide the population exercises the
   // partial-slice acquire.
-  const WorkloadInfo info = tiny_workload();
+  const SystemSpec info = tiny_spec();
   const RunResult scalar = run_workload<double>(info, crowd_config(1, 3, 5), false);
   const RunResult crowd3 = run_workload<double>(info, crowd_config(3, 3, 5), false);
   expect_traces_match(scalar, crowd3, 1e-10);
@@ -174,7 +152,7 @@ TEST(CrowdBuffer, RoundTripBitExactInsideCrowd)
   // register_data -> update_buffer -> copy_from_buffer -> update_buffer
   // must reproduce the identical byte stream for every walker of a
   // crowd: the buffer protocol may not lose or reorder component state.
-  const WorkloadInfo info = tiny_workload();
+  const SystemSpec info = tiny_spec();
   BuildOptions opt;
   auto sys = build_system<double>(info, opt);
   const int nw = 4;
@@ -203,7 +181,7 @@ TEST(CrowdKernels, BatchedRatioGradMatchesScalar)
 {
   // The genuinely batched determinant/SPO path must agree with the
   // scalar per-walker loop it replaces, walker by walker.
-  const WorkloadInfo info = tiny_workload();
+  const SystemSpec info = tiny_spec();
   BuildOptions opt;
   auto sys_a = build_system<double>(info, opt);
   auto sys_b = build_system<double>(info, opt);
@@ -260,7 +238,7 @@ TEST(CrowdKernels, BatchedRatioGradMatchesScalar)
 
 TEST(CrowdResources, PerComponentResourcesAreAllocated)
 {
-  const WorkloadInfo info = tiny_workload();
+  const SystemSpec info = tiny_spec();
   BuildOptions opt;
   auto sys = build_system<double>(info, opt);
   MWResourceSet res = sys.twf->make_mw_resources(4);
@@ -284,7 +262,7 @@ TEST(CrowdResources, PerComponentResourcesAreAllocated)
 
 TEST(ThreadParity, TinyVmcBitwiseIdenticalAcrossThreadCounts)
 {
-  const WorkloadInfo info = tiny_workload();
+  const SystemSpec info = tiny_spec();
   DriverConfig cfg = crowd_config(/*crowd_size=*/2, /*steps=*/4, /*walkers=*/5);
   const RunResult serial = run_workload<double>(info, cfg, /*dmc=*/false);
   expect_nonnegative_variance(serial);
@@ -298,7 +276,7 @@ TEST(ThreadParity, TinyVmcBitwiseIdenticalAcrossThreadCounts)
 
 TEST(ThreadParity, GraphiteVmcBitwiseIdenticalAcrossThreadCounts)
 {
-  const WorkloadInfo& info = workload_info(Workload::Graphite);
+  const SystemSpec info = load_spec(Workload::Graphite);
   DriverConfig cfg = crowd_config(/*crowd_size=*/2, /*steps=*/2, /*walkers=*/6);
   const RunResult serial = run_workload<double>(info, cfg, /*dmc=*/false);
   expect_nonnegative_variance(serial);
@@ -316,7 +294,7 @@ TEST(ThreadParity, GraphiteDmcBitwiseIdenticalAcrossThreadCounts)
   // a nondeterministic population reduction would change trial_energy
   // and fork the whole subsequent chain, so this is the sharpest
   // thread-count parity check in the suite.
-  const WorkloadInfo& info = workload_info(Workload::Graphite);
+  const SystemSpec info = load_spec(Workload::Graphite);
   DriverConfig cfg = crowd_config(/*crowd_size=*/2, /*steps=*/2, /*walkers=*/6);
   const RunResult serial = run_workload<double>(info, cfg, /*dmc=*/true);
   expect_nonnegative_variance(serial);
@@ -332,7 +310,7 @@ TEST(ThreadParity, ThreadsComposeWithLegacyScalarPath)
 {
   // crowd_size == 1 (the legacy per-walker sweep) threads over walkers;
   // it must agree bitwise with its own serial run too.
-  const WorkloadInfo info = tiny_workload();
+  const SystemSpec info = tiny_spec();
   DriverConfig cfg = crowd_config(/*crowd_size=*/1, /*steps=*/3, /*walkers=*/4);
   const RunResult serial = run_workload<double>(info, cfg, /*dmc=*/true);
   cfg.num_threads = 4;

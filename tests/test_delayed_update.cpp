@@ -115,30 +115,6 @@ struct ProbeDelayedDet : DiracDeterminantDelayed<double>
 
 // ---- driver-level harness (mirrors tests/test_crowd.cpp) --------------
 
-WorkloadInfo tiny_workload()
-{
-  WorkloadInfo w;
-  w.name = "Tiny";
-  w.id = Workload::Graphite; // placeholder id
-  w.num_electrons = 16;
-  w.num_ions = 4;
-  w.ions_per_unit_cell = 4;
-  w.num_unit_cells = 1;
-  w.ion_types = "X(4)";
-  w.paper_unique_spos = 8;
-  w.paper_fft_grid = "-";
-  w.paper_spline_gb = 0;
-  w.has_pseudopotential = true;
-  w.grid = {10, 10, 10};
-  w.num_orbitals = 8;
-  w.species = {{"X", 4.0, -0.4, 1.1, 0.6, 0.8, 0.9, 1.6}};
-  w.ion_counts = {4};
-  w.lattice = Lattice::cubic(7.0);
-  w.ion_positions = {{1.75, 1.75, 1.75}, {5.25, 5.25, 1.75}, {5.25, 1.75, 5.25},
-                     {1.75, 5.25, 5.25}};
-  return w;
-}
-
 DriverConfig delayed_config(int delay_rank, int crowd_size, int steps = 4, int walkers = 4)
 {
   DriverConfig cfg;
@@ -153,7 +129,7 @@ DriverConfig delayed_config(int delay_rank, int crowd_size, int steps = 4, int w
   return cfg;
 }
 
-RunResult run_delayed(const WorkloadInfo& info, const DriverConfig& cfg, bool dmc)
+RunResult run_delayed(const SystemSpec& info, const DriverConfig& cfg, bool dmc)
 {
   BuildOptions opt;
   opt.delay_rank = cfg.delay_rank;
@@ -427,7 +403,7 @@ TEST(DegenerateRatioGuard, DelayedAcceptRecoversAndClearsWindow)
 
 TEST(DelayedDriverParity, GraphiteVmcDelayRankOneBitwiseMatchesPlain)
 {
-  const WorkloadInfo& info = workload_info(Workload::Graphite);
+  const SystemSpec info = load_spec(Workload::Graphite);
   const DriverConfig cfg = delayed_config(/*delay_rank=*/1, /*crowd=*/2, /*steps=*/2, 4);
   BuildOptions plain; // default build: plain DiracDeterminant
   auto sys = build_system<double>(info, plain);
@@ -440,7 +416,7 @@ TEST(DelayedDriverParity, GraphiteVmcDelayRankOneBitwiseMatchesPlain)
 
 TEST(DelayedDriverParity, GraphiteDmcDelayRankOneBitwiseMatchesPlain)
 {
-  const WorkloadInfo& info = workload_info(Workload::Graphite);
+  const SystemSpec info = load_spec(Workload::Graphite);
   const DriverConfig cfg = delayed_config(/*delay_rank=*/1, /*crowd=*/2, /*steps=*/2, 4);
   BuildOptions plain;
   auto sys = build_system<double>(info, plain);
@@ -456,7 +432,7 @@ TEST(DelayedDriverParity, GraphiteVmcEnergyParityAcrossDelayRanks)
   // Rank-1 and Woodbury windows walk the same Markov chain up to
   // floating-point association; short chains agree to tight tolerance
   // for every delay rank (Sec. 8.4 correctness contract).
-  const WorkloadInfo& info = workload_info(Workload::Graphite);
+  const SystemSpec info = load_spec(Workload::Graphite);
   const RunResult rank1 =
       run_delayed(info, delayed_config(1, /*crowd=*/4, /*steps=*/2, 4), /*dmc=*/false);
   for (int delay : {2, 4, 8})
@@ -472,7 +448,7 @@ TEST(DelayedDriverParity, GraphiteDmcEnergyParityWithBranching)
   // DMC adds branching off the serialized walker buffers: the
   // barrier-side flush must commit every pending binding before weights
   // and clones are computed.
-  const WorkloadInfo& info = workload_info(Workload::Graphite);
+  const SystemSpec info = load_spec(Workload::Graphite);
   const RunResult rank1 =
       run_delayed(info, delayed_config(1, /*crowd=*/2, /*steps=*/2, 4), /*dmc=*/true);
   const RunResult delayed =
@@ -485,7 +461,7 @@ TEST(DelayedDriverParity, DelayedChainInvariantAcrossCrowdSizes)
   // For a fixed delay rank the chain must not depend on crowd batching:
   // the scalar per-walker sweep and the batched mw_* sweep share one
   // ratio/accept code path through the engine.
-  const WorkloadInfo info = tiny_workload();
+  const SystemSpec info = tiny_spec();
   const RunResult scalar = run_delayed(info, delayed_config(4, 1), /*dmc=*/false);
   const RunResult crowd2 = run_delayed(info, delayed_config(4, 2), /*dmc=*/false);
   const RunResult crowd4 = run_delayed(info, delayed_config(4, 4), /*dmc=*/false);
@@ -498,7 +474,7 @@ TEST(DelayedDriverParity, FlushAtBarrierBitwiseAcrossThreadCounts)
   // Threaded crowd execution must read committed inverses only: with
   // engine flushes forced at the generation barrier, chains are
   // bitwise-identical for num_threads in {1, 2, 4}.
-  const WorkloadInfo info = tiny_workload();
+  const SystemSpec info = tiny_spec();
   for (const bool dmc : {false, true})
   {
     DriverConfig cfg = delayed_config(4, /*crowd=*/2, /*steps=*/4, /*walkers=*/5);
@@ -518,7 +494,7 @@ TEST(DelayedDriverParity, MixedPrecisionDelayedEngineRunsFinite)
   // recompute generations clear the window and repair drift; the run
   // must stay finite and sane.
   EngineRunSpec spec;
-  spec.workload = Workload::Graphite;
+  spec.spec_path = io::workload_spec_path(Workload::Graphite);
   spec.variant = EngineVariant::Current;
   spec.dmc = false;
   spec.driver.num_walkers = 2;

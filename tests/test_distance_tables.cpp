@@ -386,7 +386,7 @@ DriverConfig parity_config(int steps, int walkers)
 
 RunResult run_graphite(LayoutMode layout, bool dmc, int steps, int walkers)
 {
-  const WorkloadInfo& info = workload_info(Workload::Graphite);
+  const SystemSpec info = load_spec(Workload::Graphite);
   BuildOptions opt;
   opt.layout = layout;
   auto sys = build_system<double>(info, opt);

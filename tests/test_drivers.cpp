@@ -11,35 +11,13 @@
 #include "drivers/qmc_system.h"
 #include "workloads/system_builder.h"
 
+#include "test_utils.h"
+
 using namespace qmcxx;
+using namespace qmcxx::testing;
 
 namespace
 {
-
-/// A miniature workload (16 electrons, 4 ions) for fast driver tests.
-WorkloadInfo tiny_workload()
-{
-  WorkloadInfo w;
-  w.name = "Tiny";
-  w.id = Workload::Graphite; // placeholder id
-  w.num_electrons = 16;
-  w.num_ions = 4;
-  w.ions_per_unit_cell = 4;
-  w.num_unit_cells = 1;
-  w.ion_types = "X(4)";
-  w.paper_unique_spos = 8;
-  w.paper_fft_grid = "-";
-  w.paper_spline_gb = 0;
-  w.has_pseudopotential = true;
-  w.grid = {10, 10, 10};
-  w.num_orbitals = 8;
-  w.species = {{"X", 4.0, -0.4, 1.1, 0.6, 0.8, 0.9, 1.6}};
-  w.ion_counts = {4};
-  w.lattice = Lattice::cubic(7.0);
-  w.ion_positions = {{1.75, 1.75, 1.75}, {5.25, 5.25, 1.75}, {5.25, 1.75, 5.25},
-                     {1.75, 5.25, 5.25}};
-  return w;
-}
 
 DriverConfig test_config(int steps = 4, int walkers = 4)
 {
@@ -57,7 +35,7 @@ DriverConfig test_config(int steps = 4, int walkers = 4)
 
 TEST(SystemBuilder, BuildsAllLayoutsAndPrecisions)
 {
-  const WorkloadInfo info = tiny_workload();
+  const SystemSpec info = tiny_spec();
   BuildOptions aos, soa;
   aos.soa_layout = false;
   soa.soa_layout = true;
@@ -79,7 +57,7 @@ TEST(SystemBuilder, BuildsAllLayoutsAndPrecisions)
 
 TEST(SystemBuilder, RefAndCurrentLogPsiAgree)
 {
-  const WorkloadInfo info = tiny_workload();
+  const SystemSpec info = tiny_spec();
   BuildOptions aos, soa;
   aos.soa_layout = false;
   soa.soa_layout = true;
@@ -98,7 +76,7 @@ TEST(SystemBuilder, RefAndCurrentLogPsiAgree)
 
 TEST(SystemBuilder, LocalEnergyAgreesAcrossLayouts)
 {
-  const WorkloadInfo info = tiny_workload();
+  const SystemSpec info = tiny_spec();
   BuildOptions aos, soa;
   aos.soa_layout = false;
   soa.soa_layout = true;
@@ -178,7 +156,7 @@ TEST(PlaneWaveDeterminant, KineticEnergyMatchesBandSum)
 
 TEST(VmcDriver, RunsAndProducesFiniteStatistics)
 {
-  const WorkloadInfo info = tiny_workload();
+  const SystemSpec info = tiny_spec();
   BuildOptions opt;
   auto sys = build_system<double>(info, opt);
   QMCDriver<double> driver(*sys.elec, *sys.twf, *sys.ham, test_config(6, 4));
@@ -198,7 +176,7 @@ TEST(VmcDriver, RunsAndProducesFiniteStatistics)
 
 TEST(VmcDriver, DeterministicForSeed)
 {
-  const WorkloadInfo info = tiny_workload();
+  const SystemSpec info = tiny_spec();
   BuildOptions opt;
   auto s1 = build_system<double>(info, opt);
   auto s2 = build_system<double>(info, opt);
@@ -217,7 +195,7 @@ TEST(VmcDriver, RefAndCurrentEnergiesTrackEachOther)
   // Same seeds, same Markov chain proposals: Ref (double AoS) and
   // Current (double SoA) must produce nearly identical energy traces;
   // float Current should track loosely.
-  const WorkloadInfo info = tiny_workload();
+  const SystemSpec info = tiny_spec();
   BuildOptions aos, soa;
   aos.soa_layout = false;
   soa.soa_layout = true;
@@ -237,7 +215,7 @@ TEST(VmcDriver, RefAndCurrentEnergiesTrackEachOther)
 
 TEST(DmcDriver, PopulationStaysBoundedAndEnergiesFinite)
 {
-  const WorkloadInfo info = tiny_workload();
+  const SystemSpec info = tiny_spec();
   BuildOptions opt;
   auto sys = build_system<double>(info, opt);
   DriverConfig cfg = test_config(10, 6);
@@ -258,7 +236,7 @@ TEST(DmcDriver, PopulationStaysBoundedAndEnergiesFinite)
 
 TEST(DmcDriver, MultiThreadedRunMatchesWalkerCount)
 {
-  const WorkloadInfo info = tiny_workload();
+  const SystemSpec info = tiny_spec();
   BuildOptions opt;
   auto sys = build_system<float>(info, opt);
   DriverConfig cfg = test_config(5, 8);
@@ -273,7 +251,7 @@ TEST(DmcDriver, MultiThreadedRunMatchesWalkerCount)
 
 TEST(DriverConfig, InvalidValuesAreRejectedAtConstruction)
 {
-  const WorkloadInfo info = tiny_workload();
+  const SystemSpec info = tiny_spec();
   BuildOptions opt;
   auto sys = build_system<double>(info, opt);
   auto make = [&](DriverConfig cfg) {
@@ -482,7 +460,7 @@ TEST(RunEngine, AllVariantsProduceReports)
                           EngineVariant::CurrentDP})
   {
     EngineRunSpec spec;
-    spec.workload = Workload::Graphite;
+    spec.spec_path = io::workload_spec_path(Workload::Graphite);
     spec.variant = v;
     spec.dmc = false;
     spec.driver.steps = 1;

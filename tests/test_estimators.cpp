@@ -13,6 +13,7 @@
 #include "drivers/qmc_driver_impl.h"
 #include "drivers/qmc_system.h"
 #include "estimators/estimators.h"
+#include "io/job_spec.h"
 #include "numerics/rng.h"
 #include "particle/distance_table_soa.h"
 #include "workloads/system_builder.h"
@@ -319,7 +320,7 @@ bool chains_match(const RunResult& a, const RunResult& b)
 void check_chain_neutrality(Workload w)
 {
   EngineRunSpec off;
-  off.workload = w;
+  off.spec_path = io::workload_spec_path(w);
   off.variant = EngineVariant::Current;
   off.dmc = true;
   off.driver.tau = 0.02;
@@ -342,7 +343,7 @@ void check_chain_neutrality(Workload w)
   EngineReport rep_on = run_engine(on);
   if (!chains_match(rep_off.result, rep_on.result))
   {
-    std::cerr << "[ NOTE ] " << workload_info(w).name
+    std::cerr << "[ NOTE ] " << off.spec_path
               << " neutrality mismatch; re-running both chains to check "
                  "reproducibility\n";
     rep_off = run_engine(off);

@@ -9,7 +9,8 @@
 #include "instrument/roofline.h"
 #include "instrument/scaling_model.h"
 #include "instrument/timer.h"
-#include "workloads/workloads.h"
+
+#include "test_utils.h"
 
 using namespace qmcxx;
 
@@ -91,7 +92,7 @@ TEST(ScalingModel, SmallerWalkersScaleBetter)
 
 TEST(Roofline, CountsScaleWithCalls)
 {
-  const WorkloadInfo& info = workload_info(Workload::NiO32);
+  const SystemSpec info = qmcxx::testing::load_spec(Workload::NiO32);
   KernelTotals totals;
   totals.calls[static_cast<int>(Kernel::J2)] = 100;
   totals.seconds[static_cast<int>(Kernel::J2)] = 0.5;
@@ -109,7 +110,7 @@ TEST(Roofline, CountsScaleWithCalls)
 
 TEST(Roofline, SinglePrecisionDoublesIntensity)
 {
-  const WorkloadInfo& info = workload_info(Workload::NiO32);
+  const SystemSpec info = qmcxx::testing::load_spec(Workload::NiO32);
   KernelTotals totals;
   totals.calls[static_cast<int>(Kernel::DistTable)] = 10;
   totals.seconds[static_cast<int>(Kernel::DistTable)] = 0.1;

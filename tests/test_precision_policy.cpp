@@ -77,7 +77,7 @@ PrecisionPolicy guard_policy()
 EngineRunSpec graphite_spec(EngineVariant variant, bool dmc, int crowd_size, int num_threads)
 {
   EngineRunSpec spec;
-  spec.workload = Workload::Graphite;
+  spec.spec_path = io::workload_spec_path(Workload::Graphite);
   spec.variant = variant;
   spec.dmc = dmc;
   spec.driver.tau = 0.02;
@@ -302,7 +302,7 @@ TEST(PrecisionPolicy, FloatTracksDoubleWithGuardOnGraphite)
 TEST(PrecisionPolicy, FloatTracksDoubleWithGuardOnNiO32)
 {
   EngineRunSpec spec;
-  spec.workload = Workload::NiO32;
+  spec.spec_path = io::workload_spec_path(Workload::NiO32);
   spec.variant = EngineVariant::Current;
   spec.dmc = false;
   spec.driver.tau = 0.02;
@@ -376,8 +376,8 @@ TEST(PrecisionSpec, JobSpecCarriesPolicy)
 
 TEST(PrecisionSpec, SystemSpecPrecisionKeyRoundTripsAndHashes)
 {
-  SystemSpec spec = to_spec(workload_info(Workload::Graphite));
-  ASSERT_EQ(spec.precision_bytes, 0); // enum workloads leave it unset
+  SystemSpec spec = load_spec(Workload::Graphite);
+  ASSERT_EQ(spec.precision_bytes, 0); // the committed paper specs leave it unset
   const std::uint64_t unset_hash = spec_content_hash(spec);
   const std::string unset_text = io::serialize_system_spec(spec);
   // Committed pre-policy spec files must stay byte-identical: no key
@@ -401,25 +401,7 @@ TEST(PrecisionSpec, SystemSpecPrecisionKeyRoundTripsAndHashes)
 
 TEST(PrecisionSpec, ValidateConfigRejectsBadDriftKnobs)
 {
-  const WorkloadInfo info = []() {
-    WorkloadInfo w;
-    w.name = "TinyGuard";
-    w.id = Workload::Graphite;
-    w.num_electrons = 16;
-    w.num_ions = 4;
-    w.ions_per_unit_cell = 4;
-    w.num_unit_cells = 1;
-    w.ion_types = "X(4)";
-    w.has_pseudopotential = true;
-    w.grid = {10, 10, 10};
-    w.num_orbitals = 8;
-    w.species = {{"X", 4.0, -0.4, 1.1, 0.6, 0.8, 0.9, 1.6}};
-    w.ion_counts = {4};
-    w.lattice = Lattice::cubic(7.0);
-    w.ion_positions = {{1.75, 1.75, 1.75}, {5.25, 5.25, 1.75}, {5.25, 1.75, 5.25},
-                       {1.75, 5.25, 5.25}};
-    return w;
-  }();
+  const SystemSpec info = tiny_spec();
   BuildOptions opt;
   auto sys = build_system<double>(info, opt);
   const auto expect_rejected = [&](DriverConfig cfg, const char* needle) {

@@ -19,7 +19,10 @@
 #include "io/snapshot.h"
 #include "workloads/system_builder.h"
 
+#include "test_utils.h"
+
 using namespace qmcxx;
+using namespace qmcxx::testing;
 
 namespace
 {
@@ -27,31 +30,6 @@ namespace
 std::string tmp_path(const std::string& name)
 {
   return (std::filesystem::temp_directory_path() / name).string();
-}
-
-/// A miniature workload (16 electrons, 4 ions) for fast driver tests.
-WorkloadInfo tiny_workload()
-{
-  WorkloadInfo w;
-  w.name = "Tiny";
-  w.id = Workload::Graphite; // placeholder id
-  w.num_electrons = 16;
-  w.num_ions = 4;
-  w.ions_per_unit_cell = 4;
-  w.num_unit_cells = 1;
-  w.ion_types = "X(4)";
-  w.paper_unique_spos = 8;
-  w.paper_fft_grid = "-";
-  w.paper_spline_gb = 0;
-  w.has_pseudopotential = true;
-  w.grid = {10, 10, 10};
-  w.num_orbitals = 8;
-  w.species = {{"X", 4.0, -0.4, 1.1, 0.6, 0.8, 0.9, 1.6}};
-  w.ion_counts = {4};
-  w.lattice = Lattice::cubic(7.0);
-  w.ion_positions = {{1.75, 1.75, 1.75}, {5.25, 5.25, 1.75}, {5.25, 1.75, 5.25},
-                     {1.75, 5.25, 5.25}};
-  return w;
 }
 
 DriverConfig test_config(int steps = 4, int walkers = 4)
@@ -443,7 +421,7 @@ TEST(SnapshotCompat, FingerprintSeparatesFields)
 
 TEST(DriverSnapshot, CaptureRestoreRoundTripsPopulation)
 {
-  const WorkloadInfo info = tiny_workload();
+  const SystemSpec info = tiny_spec();
   BuildOptions opt;
   auto sys = build_system<double>(info, opt);
   DriverConfig cfg = test_config(3, 3);
@@ -462,7 +440,7 @@ TEST(DriverSnapshot, CaptureRestoreRoundTripsPopulation)
 
 TEST(DriverSnapshot, FailedRestoreLeavesDriverUntouched)
 {
-  const WorkloadInfo info = tiny_workload();
+  const SystemSpec info = tiny_spec();
   BuildOptions opt;
   auto sys = build_system<double>(info, opt);
   const DriverConfig cfg = test_config(2, 2);
@@ -483,7 +461,7 @@ TEST(DriverSnapshot, FailedRestoreLeavesDriverUntouched)
 
 TEST(DriverSnapshot, RejectsChainKindMismatch)
 {
-  const WorkloadInfo info = tiny_workload();
+  const SystemSpec info = tiny_spec();
   BuildOptions opt;
   auto sys = build_system<double>(info, opt);
   const DriverConfig cfg = test_config(2, 2);
@@ -499,7 +477,7 @@ TEST(DriverSnapshot, RejectsChainKindMismatch)
 
 TEST(DriverSnapshot, PrecisionTagMismatchRejected)
 {
-  const WorkloadInfo info = tiny_workload();
+  const SystemSpec info = tiny_spec();
   BuildOptions opt;
   auto sys = build_system<double>(info, opt);
   const DriverConfig cfg = test_config(2, 2);
@@ -512,7 +490,7 @@ TEST(DriverSnapshot, PrecisionTagMismatchRejected)
 
 TEST(DriverSnapshot, ConfigValidationRejectsBadCheckpointKnobs)
 {
-  const WorkloadInfo info = tiny_workload();
+  const SystemSpec info = tiny_spec();
   BuildOptions opt;
   auto sys = build_system<double>(info, opt);
   DriverConfig cfg = test_config(2, 2);
@@ -540,7 +518,7 @@ namespace
 void check_exact_resume(bool dmc, int crowd_head, int threads_head, int crowd_tail,
                         int threads_tail)
 {
-  const WorkloadInfo info = tiny_workload();
+  const SystemSpec info = tiny_spec();
   BuildOptions opt;
   auto sys = build_system<double>(info, opt);
   const int steps = 5, cut = 2;
@@ -606,7 +584,7 @@ TEST(ExactResume, RecomputeFlagResumesStatistically)
 {
   // Dropping the buffers still restores and runs; exact energies may
   // (and generally do) differ in low bits, so only sanity is checked.
-  const WorkloadInfo info = tiny_workload();
+  const SystemSpec info = tiny_spec();
   BuildOptions opt;
   auto sys = build_system<double>(info, opt);
   const DriverConfig cfg = test_config(3, 3);
@@ -640,7 +618,7 @@ void check_engine_resume(Workload workload, bool dmc, int crowd, int threads)
 {
   const int steps = 4, cut = 2;
   EngineRunSpec ref_spec;
-  ref_spec.workload = workload;
+  ref_spec.spec_path = io::workload_spec_path(workload);
   ref_spec.variant = EngineVariant::Current;
   ref_spec.dmc = dmc;
   ref_spec.driver = test_config(steps, 3);
@@ -688,7 +666,7 @@ TEST(EngineResume, RejectsWorkloadFingerprintMismatch)
 {
   const std::string path = tmp_path("qmcxx_fp_mismatch.snap");
   EngineRunSpec spec;
-  spec.workload = Workload::Graphite;
+  spec.spec_path = io::workload_spec_path(Workload::Graphite);
   spec.variant = EngineVariant::Current;
   spec.dmc = false;
   spec.driver = test_config(2, 2);
@@ -700,10 +678,11 @@ TEST(EngineResume, RejectsWorkloadFingerprintMismatch)
   other.driver.checkpoint_every = 0;
   other.driver.checkpoint_path.clear();
   other.resume_path = path;
-  other.workload = Workload::Be64; // different workload, same precision
+  // Different workload, same precision.
+  other.spec_path = io::workload_spec_path(Workload::Be64);
   EXPECT_THROW((void)run_engine(other), std::runtime_error);
   // Same workload under a different delay_rank is also a different chain.
-  other.workload = Workload::Graphite;
+  other.spec_path = io::workload_spec_path(Workload::Graphite);
   other.driver.delay_rank = 2;
   EXPECT_THROW((void)run_engine(other), std::runtime_error);
   std::filesystem::remove(path);
@@ -723,7 +702,7 @@ TEST(JobSpec, ParsesFullObject)
                 "delay_rank": 4, "checkpoint_every": 10 } })";
   const io::JobSpec spec = io::parse_job_spec(text, "j1");
   EXPECT_EQ(spec.name, "j1");
-  EXPECT_EQ(spec.workload, Workload::NiO32);
+  EXPECT_EQ(spec.spec_path, io::workload_spec_path(Workload::NiO32));
   EXPECT_EQ(spec.variant, EngineVariant::RefMP);
   EXPECT_TRUE(spec.dmc);
   EXPECT_EQ(spec.mem_budget_mb, 256.5);
@@ -745,7 +724,9 @@ TEST(JobSpec, ParsesFullObject)
 TEST(JobSpec, DefaultsAndAliases)
 {
   const io::JobSpec spec = io::parse_job_spec(R"({"workload": "graphite"})", "j");
-  EXPECT_EQ(spec.workload, Workload::Graphite);
+  EXPECT_EQ(spec.spec_path, io::workload_spec_path(Workload::Graphite));
+  // Neither "workload" nor "spec_path": the job runs Graphite.
+  EXPECT_EQ(io::parse_job_spec("{}", "j").spec_path, spec.spec_path);
   EXPECT_EQ(spec.variant, EngineVariant::Current);
   EXPECT_FALSE(spec.dmc);
   EXPECT_EQ(io::workload_from_name("be64"), Workload::Be64);

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "drivers/qmc_system.h"
+#include "io/job_spec.h"
 #include "numerics/linalg.h"
 #include "numerics/rng.h"
 #include "wavefunction/spo_set.h"
@@ -226,7 +227,7 @@ struct SpoChainCase
 RunResult run_graphite_chain(const SpoChainCase& c, int crowd_size)
 {
   EngineRunSpec spec;
-  spec.workload = Workload::Graphite;
+  spec.spec_path = io::workload_spec_path(Workload::Graphite);
   spec.variant = c.variant;
   spec.dmc = c.dmc;
   spec.driver.tau = 0.02;

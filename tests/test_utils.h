@@ -1,15 +1,19 @@
-// Shared fixtures: small synthetic particle systems for unit tests.
+// Shared fixtures: small synthetic particle systems for unit tests, the
+// tiny test system, and the committed specs/ files.
 #ifndef QMCXX_TESTS_TEST_UTILS_H
 #define QMCXX_TESTS_TEST_UTILS_H
 
 #include <memory>
+#include <string>
 
+#include "io/job_spec.h"
 #include "numerics/rng.h"
 #include "numerics/spline_builder.h"
 #include "particle/distance_table_aos.h"
 #include "particle/distance_table_soa.h"
 #include "particle/lattice.h"
 #include "particle/particle_set.h"
+#include "workloads/system_spec.h"
 
 namespace qmcxx::testing
 {
@@ -59,6 +63,39 @@ std::shared_ptr<CubicBsplineFunctor<TR>> make_test_functor(double rc, double cus
 {
   return std::make_shared<CubicBsplineFunctor<TR>>(
       build_bspline_functor<TR>(ee_jastrow_shape(cusp, rc), cusp, rc, knots));
+}
+
+/// A miniature system (16 electrons, 4 ions of Z* = 4 in a 7 bohr cubic
+/// cell) for fast driver tests. The name only feeds snapshot
+/// fingerprints.
+inline SystemSpec tiny_spec(const std::string& name = "Tiny")
+{
+  SystemSpec s;
+  s.name = name;
+  s.num_electrons = 16;
+  s.grid = {10, 10, 10};
+  s.num_orbitals = 8;
+  s.has_pseudopotential = true;
+  s.species = {{"X", 4.0, -0.4, 1.1, 0.6, 0.8, 0.9, 1.6}};
+  s.ion_counts = {4};
+  s.lattice = Lattice::cubic(7.0);
+  s.ion_positions = {{1.75, 1.75, 1.75}, {5.25, 5.25, 1.75}, {5.25, 1.75, 5.25},
+                     {1.75, 5.25, 5.25}};
+  return s;
+}
+
+/// A committed specs/ file (e.g. "graphite-32.json"), parsed.
+inline SystemSpec load_spec(const std::string& file)
+{
+  const std::string path = std::string(QMCXX_SPECS_DIR) + "/" + file;
+  return io::parse_system_spec(io::read_text_file(path), path);
+}
+
+/// A paper workload's committed spec file, parsed.
+inline SystemSpec load_spec(Workload w)
+{
+  const std::string path = io::workload_spec_path(w);
+  return io::parse_system_spec(io::read_text_file(path), path);
 }
 
 } // namespace qmcxx::testing
