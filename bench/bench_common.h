@@ -9,14 +9,13 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "drivers/qmc_system.h"
 #include "instrument/report.h"
 #include "io/job_spec.h"
+#include "io/json.h"
 #include "workloads/system_spec.h"
 
 namespace qmcxx::bench
@@ -98,41 +97,36 @@ inline void header(const std::string& title, const std::string& paper_ref)
 //                    "kernel_seconds": { "<kernel>": ..., ... },
 //                    "metrics": { "<key>": ..., ... } }, ... ] }
 //
-// Output directory: $QMCXX_BENCH_JSON_DIR if set, else the CWD. Set
-// QMCXX_BENCH_JSON=0 to suppress the file.
+// Numbers come from the io/json.h writer (17 digits, null if not
+// finite). Output directory: $QMCXX_BENCH_JSON_DIR if set, else the CWD;
+// QMCXX_BENCH_JSON=0 suppresses the file. A failed write throws.
 // ---------------------------------------------------------------------
 class BenchJsonWriter
 {
 public:
-  explicit BenchJsonWriter(std::string bench_name) : bench_name_(std::move(bench_name)) {}
+  using Layout = io::json::Writer::Layout;
+
+  explicit BenchJsonWriter(std::string bench_name) : bench_name_(std::move(bench_name))
+  {
+    w_.begin_object(Layout::Lines).member("schema", "qmcxx-bench-v1").member("bench", bench_name_);
+    w_.key("records").begin_array(Layout::Lines);
+  }
 
   /// Start a record for one engine run and fill the standard metrics.
   void add_engine_record(const std::string& workload, const std::string& variant,
                          const EngineReport& rep)
   {
-    std::ostringstream os;
-    os << "    {\n";
-    os << "      \"workload\": \"" << workload << "\",\n";
-    os << "      \"variant\": \"" << variant << "\",\n";
-    os << "      \"seconds\": " << rep.result.seconds << ",\n";
-    os << "      \"total_samples\": " << rep.result.total_samples << ",\n";
-    os << "      \"throughput\": " << rep.result.throughput << ",\n";
-    os << "      \"mean_energy\": " << rep.result.mean_energy << ",\n";
-    os << "      \"build_seconds\": " << rep.build_seconds << ",\n";
-    os << "      \"footprint_bytes\": " << rep.footprint_bytes << ",\n";
-    os << "      \"peak_bytes\": " << rep.peak_bytes << ",\n";
-    os << "      \"spline_bytes\": " << rep.spline_bytes << ",\n";
-    os << "      \"walker_bytes\": " << rep.walker_bytes << ",\n";
-    os << "      \"dist_table_bytes\": " << rep.dist_table_bytes << ",\n";
-    os << "      \"kernel_seconds\": {";
+    start_record(workload, variant);
+    w_.member("seconds", rep.result.seconds).member("total_samples", rep.result.total_samples);
+    w_.member("throughput", rep.result.throughput).member("mean_energy", rep.result.mean_energy);
+    w_.member("build_seconds", rep.build_seconds).member("footprint_bytes", rep.footprint_bytes);
+    w_.member("peak_bytes", rep.peak_bytes).member("spline_bytes", rep.spline_bytes);
+    w_.member("walker_bytes", rep.walker_bytes).member("dist_table_bytes", rep.dist_table_bytes);
+    w_.key("kernel_seconds").begin_object();
     for (int k = 0; k < static_cast<int>(Kernel::kCount); ++k)
-    {
-      os << (k ? ", " : "") << "\"" << kernel_name(static_cast<Kernel>(k))
-         << "\": " << rep.profile.seconds[k];
-    }
-    os << "}";
-    records_.push_back(os.str());
-    metrics_.emplace_back();
+      w_.member(kernel_name(static_cast<Kernel>(k)), rep.profile.seconds[k]);
+    w_.end_object();
+    w_.key("metrics").begin_object();
   }
 
   /// Start a minimal record for a kernel-level bench that times raw
@@ -140,22 +134,16 @@ public:
   /// tags, all numbers attached through add_metric().
   void add_kernel_record(const std::string& workload, const std::string& variant)
   {
-    std::ostringstream os;
-    os << "    {\n";
-    os << "      \"workload\": \"" << workload << "\",\n";
-    os << "      \"variant\": \"" << variant << "\"";
-    records_.push_back(os.str());
-    metrics_.emplace_back();
+    start_record(workload, variant);
+    w_.key("metrics").begin_object();
   }
 
   /// Attach a named scalar to the most recent record; requires at least
   /// one add_engine_record() / add_kernel_record() first.
   void add_metric(const std::string& key, double value)
   {
-    assert(!metrics_.empty() && "add_metric needs a record: call add_engine_record first");
-    std::ostringstream os;
-    os << "\"" << key << "\": " << value;
-    metrics_.back().push_back(os.str());
+    assert(in_record_ && "add_metric needs a record: call add_engine_record first");
+    w_.member(key, value);
   }
 
   /// Write BENCH_<name>.json; returns the path (empty if suppressed).
@@ -167,27 +155,27 @@ public:
     const char* dir = std::getenv("QMCXX_BENCH_JSON_DIR");
     const std::string path =
         (dir && dir[0] ? std::string(dir) + "/" : std::string()) + "BENCH_" + bench_name_ + ".json";
-    std::ofstream out(path);
-    if (!out)
-      return {};
-    out << "{\n  \"schema\": \"qmcxx-bench-v1\",\n  \"bench\": \"" << bench_name_
-        << "\",\n  \"records\": [\n";
-    for (std::size_t i = 0; i < records_.size(); ++i)
-    {
-      out << records_[i] << ",\n      \"metrics\": {";
-      for (std::size_t m = 0; m < metrics_[i].size(); ++m)
-        out << (m ? ", " : "") << metrics_[i][m];
-      out << "}\n    }" << (i + 1 < records_.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
+    io::json::Writer w = w_;
+    if (in_record_)
+      w.end_object().end_object(); // metrics, record
+    w.end_array().end_object();
+    io::write_text_file(path, w.str() + "\n");
     std::printf("\n[bench-json] wrote %s\n", path.c_str());
     return path;
   }
 
 private:
+  void start_record(const std::string& workload, const std::string& variant)
+  {
+    if (in_record_)
+      w_.end_object().end_object(); // metrics, record
+    w_.begin_object(Layout::Lines).member("workload", workload).member("variant", variant);
+    in_record_ = true;
+  }
+
   std::string bench_name_;
-  std::vector<std::string> records_;
-  std::vector<std::vector<std::string>> metrics_;
+  io::json::Writer w_;
+  bool in_record_ = false;
 };
 
 } // namespace qmcxx::bench

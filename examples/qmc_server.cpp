@@ -41,8 +41,8 @@
 #include "drivers/qmc_system.h"
 #include "instrument/stopwatch.h"
 #include "io/job_spec.h"
+#include "io/json.h"
 #include "io/snapshot.h"
-#include "io/stream_log.h"
 
 using namespace qmcxx;
 
@@ -87,70 +87,55 @@ std::string generation_record(const std::string& job, int gen, const GenerationS
   // The named observables qualify -- component energies and estimator
   // bins reduce in fixed walker order and never perturb the chain --
   // so extending this record stays a versioned additive change.
-  std::string rec = std::string("{\"type\": \"generation\", \"job\": \"") + job +
-      "\", \"gen\": " + std::to_string(gen) + ", \"energy\": " + io::json_number(s.energy) +
-      ", \"variance\": " + io::json_number(s.variance) +
-      ", \"weight\": " + io::json_number(s.weight) +
-      ", \"num_walkers\": " + std::to_string(s.num_walkers) +
-      ", \"acceptance\": " + io::json_number(s.acceptance) +
-      ", \"trial_energy\": " + io::json_number(s.trial_energy) +
-      // Drift-guard telemetry (Sec. 7.2): sampled rows derive purely
-      // from the generation counter and walker buffers round-trip the
-      // inverse bitwise, so these reduce identically across resume.
-      ", \"max_drift_residual\": " + io::json_number(s.max_drift_residual) +
-      ", \"drift_rows_sampled\": " + std::to_string(s.drift_rows_sampled) +
-      ", \"drift_refreshes\": " + std::to_string(s.drift_refreshes);
+  io::json::Writer w;
+  w.begin_object().member("type", "generation").member("job", job).member("gen", gen);
+  w.member("energy", s.energy).member("variance", s.variance).member("weight", s.weight);
+  w.member("num_walkers", s.num_walkers).member("acceptance", s.acceptance);
+  w.member("trial_energy", s.trial_energy);
+  // Drift-guard telemetry (Sec. 7.2): sampled rows derive purely from
+  // the generation counter and walker buffers round-trip the inverse
+  // bitwise, so these reduce identically across resume.
+  w.member("max_drift_residual", s.max_drift_residual);
+  w.member("drift_rows_sampled", s.drift_rows_sampled).member("drift_refreshes", s.drift_refreshes);
   if (s.labels != nullptr && s.component_energies.size() == s.labels->components.size())
   {
-    rec += ", \"observables\": {";
+    w.key("observables").begin_object();
     for (std::size_t c = 0; c < s.labels->components.size(); ++c)
-    {
-      if (c > 0)
-        rec += ", ";
-      rec += "\"" + s.labels->components[c] + "\": " + io::json_number(s.component_energies[c]);
-    }
-    rec += "}";
+      w.member(s.labels->components[c], s.component_energies[c]);
+    w.end_object();
   }
   if (s.labels != nullptr && !s.labels->estimators.empty() && !s.estimator_bins.empty())
   {
-    rec += ", \"estimators\": {";
+    w.key("estimators").begin_object();
     std::size_t offset = 0;
     for (std::size_t e = 0; e < s.labels->estimators.size(); ++e)
     {
-      if (e > 0)
-        rec += ", ";
-      rec += "\"" + s.labels->estimators[e] + "\": [";
+      w.key(s.labels->estimators[e]).begin_array();
       const std::size_t nb = static_cast<std::size_t>(s.labels->estimator_bins[e]);
       for (std::size_t b = 0; b < nb; ++b)
-      {
-        if (b > 0)
-          rec += ", ";
-        rec += io::json_number(s.estimator_bins[offset + b]);
-      }
-      rec += "]";
+        w.value(s.estimator_bins[offset + b]);
+      w.end_array();
       offset += nb;
     }
-    rec += "}";
+    w.end_object();
   }
-  rec += "}";
-  return rec;
+  return w.end_object().str();
 }
 
 std::string completion_record(const std::string& job, const EngineReport& rep,
                               double budget_mb)
 {
   const double peak_mb = static_cast<double>(rep.peak_bytes) / (1024.0 * 1024.0);
-  const bool exceeded = budget_mb > 0.0 && peak_mb > budget_mb;
-  return std::string("{\"type\": \"job-complete\", \"job\": \"") + job +
-      "\", \"generations\": " + std::to_string(rep.result.generations.size()) +
-      ", \"start_generation\": " + std::to_string(rep.result.start_generation) +
-      ", \"mean_energy\": " + io::json_number(rep.result.mean_energy) +
-      ", \"seconds\": " + io::json_number(rep.result.seconds) +
-      ", \"throughput\": " + io::json_number(rep.result.throughput) +
-      ", \"walker_bytes\": " + std::to_string(rep.walker_bytes) +
-      ", \"peak_bytes\": " + std::to_string(rep.peak_bytes) +
-      ", \"mem_budget_mb\": " + io::json_number(budget_mb) +
-      ", \"mem_budget_exceeded\": " + (exceeded ? "true" : "false") + "}";
+  io::json::Writer w;
+  w.begin_object().member("type", "job-complete").member("job", job);
+  w.member("generations", rep.result.generations.size());
+  w.member("start_generation", rep.result.start_generation);
+  w.member("mean_energy", rep.result.mean_energy).member("seconds", rep.result.seconds);
+  w.member("throughput", rep.result.throughput);
+  w.member("walker_bytes", rep.walker_bytes).member("peak_bytes", rep.peak_bytes);
+  w.member("mem_budget_mb", budget_mb);
+  w.member("mem_budget_exceeded", budget_mb > 0.0 && peak_mb > budget_mb);
+  return w.end_object().str();
 }
 
 enum class JobOutcome
@@ -177,13 +162,8 @@ JobOutcome run_spool_job(const std::string& path, const ServerOptions& opt)
     return JobOutcome::Rejected;
   }
 
-  EngineRunSpec spec;
-  spec.spec_path = job.spec_path;
-  spec.variant = job.variant;
-  spec.dmc = job.dmc;
-  spec.estimators = job.estimators;
-  spec.driver = job.driver;
-  spec.driver.num_threads = clamp_threads(job.driver.num_threads, opt.thread_budget);
+  EngineRunSpec spec = job.run;
+  spec.driver.num_threads = clamp_threads(spec.driver.num_threads, opt.thread_budget);
   spec.driver.checkpoint_path = path + ".snap";
   spec.driver.stop_flag = &g_stop;
   if (std::filesystem::exists(spec.driver.checkpoint_path))
@@ -195,13 +175,13 @@ JobOutcome run_spool_job(const std::string& path, const ServerOptions& opt)
 
   try
   {
-    io::JsonlWriter stream(path + ".stream");
+    io::json::JsonlWriter stream(path + ".stream");
     spec.driver.on_generation = [&](int gen, const GenerationStats& s) {
       stream.append(generation_record(name, gen, s));
     };
     std::fprintf(stderr, "qmc_server: running %s (%s %s, %s, %d steps, %d walkers)\n",
-                 name.c_str(), job.spec_path.c_str(), job.dmc ? "DMC" : "VMC",
-                 to_string(job.variant), job.driver.steps, job.driver.num_walkers);
+                 name.c_str(), spec.spec_path.c_str(), spec.dmc ? "DMC" : "VMC",
+                 to_string(spec.variant), spec.driver.steps, spec.driver.num_walkers);
     const EngineReport rep = run_engine(spec);
     if (rep.result.interrupted)
     {
@@ -264,13 +244,8 @@ int serve_stdin(const ServerOptions& opt)
     try
     {
       const io::JobSpec job = io::parse_job_spec(text, name);
-      EngineRunSpec spec;
-      spec.spec_path = job.spec_path;
-      spec.variant = job.variant;
-      spec.dmc = job.dmc;
-      spec.estimators = job.estimators;
-      spec.driver = job.driver;
-      spec.driver.num_threads = clamp_threads(job.driver.num_threads, opt.thread_budget);
+      EngineRunSpec spec = job.run;
+      spec.driver.num_threads = clamp_threads(spec.driver.num_threads, opt.thread_budget);
       spec.driver.stop_flag = &g_stop;
       spec.driver.on_generation = [&](int gen, const GenerationStats& s) {
         std::printf("%s\n", generation_record(name, gen, s).c_str());

@@ -2,17 +2,14 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
 
-#include "io/stream_log.h"
+#include "io/json.h"
 
 namespace qmcxx::io
 {
@@ -20,329 +17,91 @@ namespace qmcxx::io
 namespace
 {
 
-std::string lower(std::string s)
+/// Case-insensitive lookup of `s` among `names`; throws naming `what`.
+template<typename E>
+E from_name(const std::string& s, std::initializer_list<std::pair<std::string_view, E>> names,
+            const std::string& what, const std::string& expected)
 {
-  std::transform(s.begin(), s.end(), s.begin(),
+  std::string n = s;
+  std::transform(n.begin(), n.end(), n.begin(),
                  [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  return s;
+  for (const auto& [name, e] : names)
+    if (n == name)
+      return e;
+  throw std::runtime_error("unknown " + what + " '" + s + "' (expected " + expected + ")");
 }
 
-/// Minimal recursive-descent reader over the fixed job-spec schema.
-/// Every key is known and typed, so there is no generic value tree --
-/// an unknown key is an error naming it, not a skipped subtree.
-class Parser
+/// Exactly three elements, `[a, b, c]`, each consumed by read(i).
+template<typename Fn>
+void parse_three(json::Reader& r, Fn&& read)
 {
-public:
-  Parser(const std::string& text, const std::string& job) : s_(text), job_(job) {}
+  int n = 0;
+  r.elements([&] {
+    if (n == 3)
+      r.fail("expected exactly 3 elements");
+    read(n++);
+  });
+  if (n != 3)
+    r.fail("expected exactly 3 elements");
+}
 
-  [[noreturn]] void fail(const std::string& what) const
-  {
-    throw std::runtime_error("job '" + job_ + "': " + what + " at byte " +
-                             std::to_string(pos_));
-  }
-
-  void skip_ws()
-  {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_])) != 0)
-      ++pos_;
-  }
-
-  char peek()
-  {
-    skip_ws();
-    if (pos_ >= s_.size())
-      fail("unexpected end of input");
-    return s_[pos_];
-  }
-
-  void expect(char c)
-  {
-    if (peek() != c)
-      fail(std::string("expected '") + c + "', found '" + s_[pos_] + "'");
-    ++pos_;
-  }
-
-  bool consume_if(char c)
-  {
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == c)
-    {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool at_end()
-  {
-    skip_ws();
-    return pos_ >= s_.size();
-  }
-
-  std::string parse_string()
-  {
-    expect('"');
-    std::string out;
-    while (true)
-    {
-      if (pos_ >= s_.size())
-        fail("unterminated string");
-      const char c = s_[pos_++];
-      if (c == '"')
-        return out;
-      if (c == '\\')
-      {
-        if (pos_ >= s_.size())
-          fail("unterminated escape");
-        const char e = s_[pos_++];
-        switch (e)
-        {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        default: fail(std::string("unsupported escape '\\") + e + "'");
-        }
-      }
-      else
-      {
-        out += c;
-      }
-    }
-  }
-
-  bool parse_bool()
-  {
-    skip_ws();
-    if (s_.compare(pos_, 4, "true") == 0)
-    {
-      pos_ += 4;
-      return true;
-    }
-    if (s_.compare(pos_, 5, "false") == 0)
-    {
-      pos_ += 5;
-      return false;
-    }
-    fail("expected true or false");
-  }
-
-  std::string number_token()
-  {
-    skip_ws();
-    const std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0 || s_[pos_] == '-' ||
-            s_[pos_] == '+' || s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E'))
-      ++pos_;
-    if (pos_ == start)
-      fail("expected a number");
-    return s_.substr(start, pos_ - start);
-  }
-
-  double parse_double()
-  {
-    const std::string tok = number_token();
-    char* end = nullptr;
-    errno = 0;
-    const double v = std::strtod(tok.c_str(), &end);
-    if (errno != 0 || end != tok.c_str() + tok.size())
-      fail("malformed number '" + tok + "'");
-    return v;
-  }
-
-  int parse_int()
-  {
-    const std::string tok = number_token();
-    char* end = nullptr;
-    errno = 0;
-    const long v = std::strtol(tok.c_str(), &end, 10);
-    if (errno != 0 || end != tok.c_str() + tok.size())
-      fail("expected an integer, got '" + tok + "'");
-    if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max())
-      fail("integer out of range '" + tok + "'");
-    return static_cast<int>(v);
-  }
-
-  /// Seeds are full 64-bit values; going through double would round
-  /// anything above 2^53 and silently fork the RNG streams.
-  std::uint64_t parse_u64()
-  {
-    const std::string tok = number_token();
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-    if (errno != 0 || end != tok.c_str() + tok.size() || tok.find('-') != std::string::npos)
-      fail("expected an unsigned 64-bit integer, got '" + tok + "'");
-    return v;
-  }
-
-private:
-  const std::string& s_;
-  std::size_t pos_ = 0;
-  const std::string& job_;
-};
-
-TinyVector<double, 3> parse_triple(Parser& p)
+TinyVector<double, 3> parse_triple(json::Reader& r)
 {
-  p.expect('[');
   TinyVector<double, 3> v;
-  v[0] = p.parse_double();
-  p.expect(',');
-  v[1] = p.parse_double();
-  p.expect(',');
-  v[2] = p.parse_double();
-  p.expect(']');
+  parse_three(r, [&](int i) { v[i] = r.number(); });
   return v;
 }
 
-void parse_orbitals_object(Parser& p, SystemSpec& s)
-{
-  p.expect('{');
-  do
-  {
-    const std::string key = p.parse_string();
-    p.expect(':');
-    if (key == "kind")
-    {
-      const std::string kind = p.parse_string();
-      if (kind != "bspline-synthetic")
-        p.fail("unsupported orbital kind '" + kind + "' (only \"bspline-synthetic\" exists)");
-    }
-    else if (key == "grid")
-    {
-      p.expect('[');
-      s.grid[0] = p.parse_int();
-      p.expect(',');
-      s.grid[1] = p.parse_int();
-      p.expect(',');
-      s.grid[2] = p.parse_int();
-      p.expect(']');
-    }
-    else if (key == "count")
-      s.num_orbitals = p.parse_int();
-    else
-      p.fail("unknown orbitals key '" + key + "'");
-  } while (p.consume_if(','));
-  p.expect('}');
-}
-
-void parse_jastrow_object(Parser& p, SystemSpec& s)
-{
-  p.expect('{');
-  do
-  {
-    const std::string key = p.parse_string();
-    p.expect(':');
-    if (key == "knots")
-      s.jastrow_knots = p.parse_int();
-    else
-      p.fail("unknown jastrow key '" + key + "'");
-  } while (p.consume_if(','));
-  p.expect('}');
-}
-
-void parse_species_entry(Parser& p, SystemSpec& s)
+void parse_species_entry(json::Reader& r, SystemSpec& s)
 {
   IonSpecies sp{};
   int count = 0;
-  p.expect('{');
-  do
-  {
-    const std::string key = p.parse_string();
-    p.expect(':');
-    if (key == "name")
-      sp.name = p.parse_string();
-    else if (key == "charge")
-      sp.charge = p.parse_double();
-    else if (key == "count")
-      count = p.parse_int();
-    else if (key == "j1_depth")
-      sp.j1_depth = p.parse_double();
-    else if (key == "j1_width")
-      sp.j1_width = p.parse_double();
-    else if (key == "r_core")
-      sp.r_core = p.parse_double();
-    else if (key == "nl_amplitude")
-      sp.nl_amplitude = p.parse_double();
-    else if (key == "nl_width")
-      sp.nl_width = p.parse_double();
-    else if (key == "nl_rcut")
-      sp.nl_rcut = p.parse_double();
-    else
-      p.fail("unknown species key '" + key + "'");
-  } while (p.consume_if(','));
-  p.expect('}');
+  r.members([&](const std::string& k) {
+    const bool known = r.field(k, "name", sp.name) || r.field(k, "charge", sp.charge) ||
+                       r.field(k, "count", count) || r.field(k, "j1_depth", sp.j1_depth) ||
+                       r.field(k, "j1_width", sp.j1_width) || r.field(k, "r_core", sp.r_core) ||
+                       r.field(k, "nl_amplitude", sp.nl_amplitude) ||
+                       r.field(k, "nl_width", sp.nl_width) || r.field(k, "nl_rcut", sp.nl_rcut);
+    if (!known)
+      r.fail("unknown species key '" + k + "'");
+  });
   if (sp.name.empty())
-    p.fail("species entry is missing \"name\"");
+    r.fail("species entry is missing \"name\"");
   if (count < 1)
-    p.fail("species '" + sp.name + "' needs a positive \"count\"");
+    r.fail("species '" + sp.name + "' needs a positive \"count\"");
   s.species.push_back(sp);
   s.ion_counts.push_back(count);
 }
 
-void parse_driver_object(Parser& p, DriverConfig& d)
+void parse_driver_object(json::Reader& r, DriverConfig& d)
 {
-  p.expect('{');
-  if (p.consume_if('}'))
-    return;
-  do
-  {
-    const std::string key = p.parse_string();
-    p.expect(':');
-    if (key == "tau")
-      d.tau = p.parse_double();
-    else if (key == "num_walkers")
-      d.num_walkers = p.parse_int();
-    else if (key == "steps")
-      d.steps = p.parse_int();
-    else if (key == "warmup_steps")
-      d.warmup_steps = p.parse_int();
-    else if (key == "seed")
-      d.seed = p.parse_u64();
-    else if (key == "recompute_period")
-      d.recompute_period = p.parse_int();
-    else if (key == "feedback")
-      d.feedback = p.parse_double();
-    else if (key == "num_threads")
-      d.num_threads = p.parse_int();
-    else if (key == "use_drift")
-      d.use_drift = p.parse_bool();
-    else if (key == "crowd_size")
-      d.crowd_size = p.parse_int();
-    else if (key == "delay_rank")
-      d.delay_rank = p.parse_int();
-    else if (key == "checkpoint_every")
-      d.checkpoint_every = p.parse_int();
-    else if (key == "drift_tolerance")
-      d.precision.drift_tolerance = p.parse_double();
-    else if (key == "refresh_interval")
-      d.precision.refresh_interval = p.parse_int();
-    else if (key == "drift_sample_rows")
-      d.precision.drift_sample_rows = p.parse_int();
-    else
-      p.fail("unknown driver key '" + key + "'");
-  } while (p.consume_if(','));
-  p.expect('}');
+  r.members([&](const std::string& k) {
+    const bool known =
+        r.field(k, "tau", d.tau) || r.field(k, "num_walkers", d.num_walkers) ||
+        r.field(k, "steps", d.steps) || r.field(k, "warmup_steps", d.warmup_steps) ||
+        r.field(k, "seed", d.seed) || r.field(k, "recompute_period", d.recompute_period) ||
+        r.field(k, "feedback", d.feedback) || r.field(k, "num_threads", d.num_threads) ||
+        r.field(k, "use_drift", d.use_drift) || r.field(k, "crowd_size", d.crowd_size) ||
+        r.field(k, "delay_rank", d.delay_rank) ||
+        r.field(k, "checkpoint_every", d.checkpoint_every) ||
+        r.field(k, "drift_tolerance", d.precision.drift_tolerance) ||
+        r.field(k, "refresh_interval", d.precision.refresh_interval) ||
+        r.field(k, "drift_sample_rows", d.precision.drift_sample_rows);
+    if (!known)
+      r.fail("unknown driver key '" + k + "'");
+  });
 }
 
 } // namespace
 
 Workload workload_from_name(const std::string& s)
 {
-  const std::string n = lower(s);
-  if (n == "graphite")
-    return Workload::Graphite;
-  if (n == "be-64" || n == "be64")
-    return Workload::Be64;
-  if (n == "nio-32" || n == "nio32")
-    return Workload::NiO32;
-  if (n == "nio-64" || n == "nio64")
-    return Workload::NiO64;
-  throw std::runtime_error("unknown workload '" + s +
-                           "' (expected Graphite, Be-64, NiO-32 or NiO-64)");
+  return from_name<Workload>(
+      s,
+      {{"graphite", Workload::Graphite}, {"be-64", Workload::Be64}, {"be64", Workload::Be64},
+       {"nio-32", Workload::NiO32}, {"nio32", Workload::NiO32}, {"nio-64", Workload::NiO64},
+       {"nio64", Workload::NiO64}},
+      "workload", "Graphite, Be-64, NiO-32 or NiO-64");
 }
 
 std::string workload_spec_path(Workload w)
@@ -355,152 +114,116 @@ std::string workload_spec_path(Workload w)
 
 EngineVariant variant_from_name(const std::string& s)
 {
-  const std::string n = lower(s);
-  if (n == "ref")
-    return EngineVariant::Ref;
-  if (n == "refmp" || n == "ref+mp")
-    return EngineVariant::RefMP;
-  if (n == "current")
-    return EngineVariant::Current;
-  if (n == "currentdp" || n == "current(dp)")
-    return EngineVariant::CurrentDP;
-  throw std::runtime_error("unknown engine variant '" + s +
-                           "' (expected ref, refmp, current or currentdp)");
+  return from_name<EngineVariant>(
+      s,
+      {{"ref", EngineVariant::Ref}, {"refmp", EngineVariant::RefMP},
+       {"ref+mp", EngineVariant::RefMP}, {"current", EngineVariant::Current},
+       {"currentdp", EngineVariant::CurrentDP}, {"current(dp)", EngineVariant::CurrentDP}},
+      "engine variant", "ref, refmp, current or currentdp");
 }
 
 Precision precision_from_name(const std::string& s)
 {
-  const std::string n = lower(s);
-  if (n == "single")
-    return Precision::Single;
-  if (n == "double")
-    return Precision::Double;
-  throw std::runtime_error("unknown precision '" + s + "' (expected single or double)");
+  return from_name<Precision>(s, {{"single", Precision::Single}, {"double", Precision::Double}},
+                              "precision", "single or double");
 }
 
 JobSpec parse_job_spec(const std::string& json_text, const std::string& job_name)
 {
-  JobSpec spec;
-  spec.name = job_name;
-  Parser p(json_text, job_name);
+  JobSpec job;
+  job.name = job_name;
+  job.run.dmc = false;
+  json::Reader r(json_text, "job '" + job_name + "'");
   Workload workload = Workload::Graphite;
   bool saw_workload = false;
-  p.expect('{');
-  if (!p.consume_if('}'))
-  {
-    do
+  r.members([&](const std::string& key) {
+    if (key == "workload")
     {
-      const std::string key = p.parse_string();
-      p.expect(':');
-      if (key == "workload")
-      {
-        workload = workload_from_name(p.parse_string());
-        saw_workload = true;
-      }
-      else if (key == "spec_path")
-        spec.spec_path = p.parse_string();
-      else if (key == "variant")
-        spec.variant = variant_from_name(p.parse_string());
-      else if (key == "precision")
-        spec.driver.precision.precision = precision_from_name(p.parse_string());
-      else if (key == "dmc")
-        spec.dmc = p.parse_bool();
-      else if (key == "estimators")
-        spec.estimators = p.parse_bool();
-      else if (key == "mem_budget_mb")
-        spec.mem_budget_mb = p.parse_double();
-      else if (key == "driver")
-        parse_driver_object(p, spec.driver);
-      else
-        p.fail("unknown key '" + key + "'");
-    } while (p.consume_if(','));
-    p.expect('}');
-  }
-  if (!p.at_end())
-    p.fail("trailing characters after the job object");
-  if (saw_workload && !spec.spec_path.empty())
+      workload = workload_from_name(r.string());
+      saw_workload = true;
+    }
+    else if (key == "variant")
+      job.run.variant = variant_from_name(r.string());
+    else if (key == "precision")
+      job.run.driver.precision.precision = precision_from_name(r.string());
+    else if (key == "driver")
+      parse_driver_object(r, job.run.driver);
+    else if (!r.field(key, "spec_path", job.run.spec_path) &&
+             !r.field(key, "dmc", job.run.dmc) && !r.field(key, "estimators", job.run.estimators) &&
+             !r.field(key, "mem_budget_mb", job.mem_budget_mb))
+      r.fail("unknown key '" + key + "'");
+  });
+  r.finish("job object");
+  if (saw_workload && !job.run.spec_path.empty())
     throw std::runtime_error("job '" + job_name +
                              "': \"workload\" and \"spec_path\" are mutually exclusive "
                              "(a spec file fully describes its system)");
-  if (spec.spec_path.empty())
-    spec.spec_path = workload_spec_path(workload);
-  return spec;
+  if (job.run.spec_path.empty())
+    job.run.spec_path = workload_spec_path(workload);
+  return job;
 }
 
 SystemSpec parse_system_spec(const std::string& json_text, const std::string& origin)
 {
   SystemSpec spec;
-  Parser p(json_text, origin);
+  json::Reader r(json_text, "spec '" + origin + "'");
   bool saw_schema = false, saw_lattice = false;
   std::array<TinyVector<double, 3>, 3> rows{};
-  p.expect('{');
-  if (!p.consume_if('}'))
-  {
-    do
+  r.members([&](const std::string& key) {
+    if (key == "schema")
     {
-      const std::string key = p.parse_string();
-      p.expect(':');
-      if (key == "schema")
-      {
-        const std::string schema = p.parse_string();
-        if (schema != "qmcxx-spec-v1")
-          p.fail("unsupported spec schema '" + schema + "' (expected qmcxx-spec-v1)");
-        saw_schema = true;
-      }
-      else if (key == "name")
-        spec.name = p.parse_string();
-      else if (key == "num_electrons")
-        spec.num_electrons = p.parse_int();
-      else if (key == "lattice")
-      {
-        p.expect('[');
-        rows[0] = parse_triple(p);
-        p.expect(',');
-        rows[1] = parse_triple(p);
-        p.expect(',');
-        rows[2] = parse_triple(p);
-        p.expect(']');
-        saw_lattice = true;
-      }
-      else if (key == "orbitals")
-        parse_orbitals_object(p, spec);
-      else if (key == "jastrow")
-        parse_jastrow_object(p, spec);
-      else if (key == "delay_rank")
-        spec.delay_rank = p.parse_int();
-      else if (key == "precision")
-        spec.precision_bytes = precision_bytes(precision_from_name(p.parse_string()));
-      else if (key == "pseudopotential")
-        spec.has_pseudopotential = p.parse_bool();
-      else if (key == "species")
-      {
-        p.expect('[');
-        do
-          parse_species_entry(p, spec);
-        while (p.consume_if(','));
-        p.expect(']');
-      }
-      else if (key == "ion_positions")
-      {
-        p.expect('[');
-        do
-          spec.ion_positions.push_back(parse_triple(p));
-        while (p.consume_if(','));
-        p.expect(']');
-      }
-      else
-        p.fail("unknown key '" + key + "'");
-    } while (p.consume_if(','));
-    p.expect('}');
-  }
-  if (!p.at_end())
-    p.fail("trailing characters after the spec object");
+      const std::string schema = r.string();
+      if (schema != "qmcxx-spec-v1")
+        r.fail("unsupported spec schema '" + schema + "' (expected qmcxx-spec-v1)");
+      saw_schema = true;
+    }
+    else if (key == "lattice")
+    {
+      parse_three(r, [&](int i) { rows[i] = parse_triple(r); });
+      saw_lattice = true;
+    }
+    else if (key == "orbitals")
+      r.members([&](const std::string& k) {
+        if (k == "kind")
+        {
+          const std::string kind = r.string();
+          if (kind != "bspline-synthetic")
+            r.fail("unsupported orbital kind '" + kind + "' (only \"bspline-synthetic\" exists)");
+        }
+        else if (k == "grid")
+          parse_three(r, [&](int i) { spec.grid[i] = r.integer(); });
+        else if (!r.field(k, "count", spec.num_orbitals))
+          r.fail("unknown orbitals key '" + k + "'");
+      });
+    else if (key == "jastrow")
+    {
+      // "knots" is the only key and is required: an empty object leaves
+      // 0 knots, which the range check below rejects.
+      spec.jastrow_knots = 0;
+      r.members([&](const std::string& k) {
+        if (!r.field(k, "knots", spec.jastrow_knots))
+          r.fail("unknown jastrow key '" + k + "'");
+      });
+    }
+    else if (key == "precision")
+      spec.precision_bytes = precision_bytes(precision_from_name(r.string()));
+    else if (key == "species")
+      r.elements([&] { parse_species_entry(r, spec); });
+    else if (key == "ion_positions")
+      r.elements([&] { spec.ion_positions.push_back(parse_triple(r)); });
+    else if (!r.field(key, "name", spec.name) &&
+             !r.field(key, "num_electrons", spec.num_electrons) &&
+             !r.field(key, "delay_rank", spec.delay_rank) &&
+             !r.field(key, "pseudopotential", spec.has_pseudopotential))
+      r.fail("unknown key '" + key + "'");
+  });
+  r.finish("spec object");
 
   const auto bad = [&origin](const std::string& what) {
     throw std::runtime_error("spec '" + origin + "': " + what);
   };
   if (!saw_schema)
-    bad("missing \"schema\": \"qmcxx-spec-v1\"");
+    bad("missing \"schema\" (expected \"qmcxx-spec-v1\")");
   if (spec.name.empty())
     bad("missing \"name\"");
   if (!saw_lattice)
@@ -531,75 +254,53 @@ SystemSpec parse_system_spec(const std::string& json_text, const std::string& or
   return spec;
 }
 
-namespace
-{
-
-std::string json_escape(const std::string& s)
-{
-  std::string out;
-  for (const char c : s)
-  {
-    if (c == '"' || c == '\\')
-      out += '\\';
-    out += c;
-  }
-  return out;
-}
-
-std::string triple_json(const TinyVector<double, 3>& v)
-{
-  std::string out = "[";
-  out += json_number(v[0]);
-  out += ", ";
-  out += json_number(v[1]);
-  out += ", ";
-  out += json_number(v[2]);
-  out += "]";
-  return out;
-}
-
-} // namespace
-
 std::string serialize_system_spec(const SystemSpec& spec)
 {
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"schema\": \"qmcxx-spec-v1\",\n";
-  os << "  \"name\": \"" << json_escape(spec.name) << "\",\n";
-  os << "  \"num_electrons\": " << spec.num_electrons << ",\n";
-  os << "  \"lattice\": [\n";
-  for (unsigned r = 0; r < 3; ++r)
-    os << "    " << triple_json(spec.lattice.rows()[r]) << (r < 2 ? "," : "") << "\n";
-  os << "  ],\n";
-  os << "  \"orbitals\": { \"kind\": \"bspline-synthetic\", \"grid\": [" << spec.grid[0]
-     << ", " << spec.grid[1] << ", " << spec.grid[2] << "], \"count\": " << spec.num_orbitals
-     << " },\n";
-  os << "  \"jastrow\": { \"knots\": " << spec.jastrow_knots << " },\n";
-  os << "  \"delay_rank\": " << spec.delay_rank << ",\n";
+  using Layout = json::Writer::Layout;
+  json::Writer w;
+  const auto triple = [&w](const auto& v) {
+    w.begin_array().value(v[0]).value(v[1]).value(v[2]).end_array();
+  };
+  w.begin_object(Layout::Lines);
+  w.member("schema", "qmcxx-spec-v1");
+  w.member("name", spec.name);
+  w.member("num_electrons", spec.num_electrons);
+  w.key("lattice").begin_array(Layout::Lines);
+  for (const TinyVector<double, 3>& row : spec.lattice.rows())
+    triple(row);
+  w.end_array();
+  w.key("orbitals").begin_object(Layout::Padded);
+  w.member("kind", "bspline-synthetic");
+  w.key("grid");
+  triple(spec.grid);
+  w.member("count", spec.num_orbitals);
+  w.end_object();
+  w.key("jastrow").begin_object(Layout::Padded).member("knots", spec.jastrow_knots).end_object();
+  w.member("delay_rank", spec.delay_rank);
   // Optional key, written only when set: committed precision-less specs
   // stay byte-identical and still round-trip bitwise.
   if (spec.precision_bytes != 0)
-    os << "  \"precision\": \"" << (spec.precision_bytes == 8 ? "double" : "single") << "\",\n";
-  os << "  \"pseudopotential\": " << (spec.has_pseudopotential ? "true" : "false") << ",\n";
-  os << "  \"species\": [\n";
+    w.member("precision", spec.precision_bytes == 8 ? "double" : "single");
+  w.member("pseudopotential", spec.has_pseudopotential);
+  w.key("species").begin_array(Layout::Lines);
   for (std::size_t s = 0; s < spec.species.size(); ++s)
   {
     const IonSpecies& sp = spec.species[s];
-    os << "    { \"name\": \"" << json_escape(sp.name) << "\", \"charge\": "
-       << json_number(sp.charge) << ", \"count\": " << spec.ion_counts[s]
-       << ",\n      \"j1_depth\": " << json_number(sp.j1_depth) << ", \"j1_width\": "
-       << json_number(sp.j1_width) << ", \"r_core\": " << json_number(sp.r_core)
-       << ",\n      \"nl_amplitude\": " << json_number(sp.nl_amplitude) << ", \"nl_width\": "
-       << json_number(sp.nl_width) << ", \"nl_rcut\": " << json_number(sp.nl_rcut) << " }"
-       << (s + 1 < spec.species.size() ? "," : "") << "\n";
+    w.begin_object(Layout::Padded);
+    w.member("name", sp.name).member("charge", sp.charge).member("count", spec.ion_counts[s]);
+    w.newline().member("j1_depth", sp.j1_depth).member("j1_width", sp.j1_width);
+    w.member("r_core", sp.r_core);
+    w.newline().member("nl_amplitude", sp.nl_amplitude).member("nl_width", sp.nl_width);
+    w.member("nl_rcut", sp.nl_rcut);
+    w.end_object();
   }
-  os << "  ],\n";
-  os << "  \"ion_positions\": [\n";
-  for (std::size_t i = 0; i < spec.ion_positions.size(); ++i)
-    os << "    " << triple_json(spec.ion_positions[i])
-       << (i + 1 < spec.ion_positions.size() ? "," : "") << "\n";
-  os << "  ]\n}\n";
-  return os.str();
+  w.end_array();
+  w.key("ion_positions").begin_array(Layout::Lines);
+  for (const TinyVector<double, 3>& pos : spec.ion_positions)
+    triple(pos);
+  w.end_array();
+  w.end_object();
+  return w.str() + "\n";
 }
 
 std::vector<std::string> list_spool_jobs(const std::string& dir)

@@ -372,6 +372,36 @@ class TestDanglingDocReference(LintFixtureCase):
         self.assert_clean("tools/ok_cite.cpp", "// DESIGN.md\nint x;\n")
 
 
+class TestJsonOutsideIo(LintFixtureCase):
+    BAD = 'std::string rec = "{\\"gen\\": " + std::to_string(g) + "}";\n'
+
+    def test_fires_in_src_bench_and_examples(self):
+        self.assert_fires("json-outside-io", "src/drivers/bad_json.cpp", self.BAD)
+        self.assert_fires("json-outside-io", "bench/bad_json.h", self.BAD)
+        self.assert_fires("json-outside-io", "examples/bad_json.cpp", self.BAD)
+
+    def test_fires_with_space_before_colon(self):
+        self.assert_fires("json-outside-io", "src/io/job_spec.cpp",
+                          'os << "  \\"name\\" : \\"" << name;\n')
+
+    def test_json_layer_and_tests_are_exempt(self):
+        self.assert_clean("src/io/json.cpp", self.BAD)
+        self.assert_clean("src/io/json.h", self.BAD)
+        self.assert_clean("tests/test_json_input.cpp", self.BAD)
+
+    def test_quoted_names_without_colon_and_comments_are_clean(self):
+        self.assert_clean(
+            "src/io/ok_json.cpp",
+            'fail("species entry is missing \\"name\\"");\n'
+            '// writes {\\"gen\\": 1} through the Writer\n'
+            'w.member("gen", g);\n')
+
+    def test_annotated_literal_is_allowed(self):
+        self.assert_clean(
+            "examples/ok_json.cpp",
+            "// qmcxx-lint: allow(json-outside-io)\n" + self.BAD)
+
+
 class TestSuppression(LintFixtureCase):
     def test_allow_on_same_line(self):
         self.assert_clean(
@@ -437,7 +467,8 @@ class TestCliContract(LintFixtureCase):
         for rule in ("rng-outside-core", "aos-in-hot-path", "chrono-outside-instrument",
                      "cout-in-src", "io-outside-snapshot", "double-in-tr-template",
                      "scalar-spo-in-crowd-path", "float-accumulator-in-estimator",
-                     "fullprec-drift-accumulator", "dangling-doc-reference"):
+                     "fullprec-drift-accumulator", "json-outside-io",
+                     "dangling-doc-reference"):
             self.assertIn(rule, out)
 
 

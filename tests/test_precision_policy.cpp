@@ -358,16 +358,16 @@ TEST(PrecisionSpec, JobSpecCarriesPolicy)
            "driver": { "steps": 4, "drift_tolerance": 1e-4,
                        "refresh_interval": 5, "drift_sample_rows": 3 } })",
       "test-job");
-  ASSERT_TRUE(job.driver.precision.precision.has_value());
-  EXPECT_EQ(*job.driver.precision.precision, Precision::Single);
-  EXPECT_EQ(job.driver.precision.drift_tolerance, 1e-4);
-  EXPECT_EQ(job.driver.precision.refresh_interval, 5);
-  EXPECT_EQ(job.driver.precision.drift_sample_rows, 3);
+  ASSERT_TRUE(job.run.driver.precision.precision.has_value());
+  EXPECT_EQ(*job.run.driver.precision.precision, Precision::Single);
+  EXPECT_EQ(job.run.driver.precision.drift_tolerance, 1e-4);
+  EXPECT_EQ(job.run.driver.precision.refresh_interval, 5);
+  EXPECT_EQ(job.run.driver.precision.drift_sample_rows, 3);
 
   // Without the key, the policy stays unset (variant alias decides).
   const io::JobSpec plain =
       io::parse_job_spec(R"({ "workload": "Graphite", "variant": "refmp" })", "plain");
-  EXPECT_FALSE(plain.driver.precision.precision.has_value());
+  EXPECT_FALSE(plain.run.driver.precision.precision.has_value());
 
   EXPECT_THROW((void)io::parse_job_spec(
                    R"({ "workload": "Graphite", "precision": "quad" })", "bad"),

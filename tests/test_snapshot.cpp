@@ -702,33 +702,33 @@ TEST(JobSpec, ParsesFullObject)
                 "delay_rank": 4, "checkpoint_every": 10 } })";
   const io::JobSpec spec = io::parse_job_spec(text, "j1");
   EXPECT_EQ(spec.name, "j1");
-  EXPECT_EQ(spec.spec_path, io::workload_spec_path(Workload::NiO32));
-  EXPECT_EQ(spec.variant, EngineVariant::RefMP);
-  EXPECT_TRUE(spec.dmc);
+  EXPECT_EQ(spec.run.spec_path, io::workload_spec_path(Workload::NiO32));
+  EXPECT_EQ(spec.run.variant, EngineVariant::RefMP);
+  EXPECT_TRUE(spec.run.dmc);
   EXPECT_EQ(spec.mem_budget_mb, 256.5);
-  EXPECT_EQ(spec.driver.tau, 0.01);
-  EXPECT_EQ(spec.driver.num_walkers, 12);
-  EXPECT_EQ(spec.driver.steps, 20);
-  EXPECT_EQ(spec.driver.warmup_steps, 4);
+  EXPECT_EQ(spec.run.driver.tau, 0.01);
+  EXPECT_EQ(spec.run.driver.num_walkers, 12);
+  EXPECT_EQ(spec.run.driver.steps, 20);
+  EXPECT_EQ(spec.run.driver.warmup_steps, 4);
   // Seeds are 64-bit exact; a double round-trip would have mangled this.
-  EXPECT_EQ(spec.driver.seed, 18446744073709551615ull);
-  EXPECT_EQ(spec.driver.recompute_period, 5);
-  EXPECT_EQ(spec.driver.feedback, 0.2);
-  EXPECT_EQ(spec.driver.num_threads, 2);
-  EXPECT_FALSE(spec.driver.use_drift);
-  EXPECT_EQ(spec.driver.crowd_size, 3);
-  EXPECT_EQ(spec.driver.delay_rank, 4);
-  EXPECT_EQ(spec.driver.checkpoint_every, 10);
+  EXPECT_EQ(spec.run.driver.seed, 18446744073709551615ull);
+  EXPECT_EQ(spec.run.driver.recompute_period, 5);
+  EXPECT_EQ(spec.run.driver.feedback, 0.2);
+  EXPECT_EQ(spec.run.driver.num_threads, 2);
+  EXPECT_FALSE(spec.run.driver.use_drift);
+  EXPECT_EQ(spec.run.driver.crowd_size, 3);
+  EXPECT_EQ(spec.run.driver.delay_rank, 4);
+  EXPECT_EQ(spec.run.driver.checkpoint_every, 10);
 }
 
 TEST(JobSpec, DefaultsAndAliases)
 {
   const io::JobSpec spec = io::parse_job_spec(R"({"workload": "graphite"})", "j");
-  EXPECT_EQ(spec.spec_path, io::workload_spec_path(Workload::Graphite));
+  EXPECT_EQ(spec.run.spec_path, io::workload_spec_path(Workload::Graphite));
   // Neither "workload" nor "spec_path": the job runs Graphite.
-  EXPECT_EQ(io::parse_job_spec("{}", "j").spec_path, spec.spec_path);
-  EXPECT_EQ(spec.variant, EngineVariant::Current);
-  EXPECT_FALSE(spec.dmc);
+  EXPECT_EQ(io::parse_job_spec("{}", "j").run.spec_path, spec.run.spec_path);
+  EXPECT_EQ(spec.run.variant, EngineVariant::Current);
+  EXPECT_FALSE(spec.run.dmc);
   EXPECT_EQ(io::workload_from_name("be64"), Workload::Be64);
   EXPECT_EQ(io::workload_from_name("NiO-64"), Workload::NiO64);
   EXPECT_EQ(io::variant_from_name("Ref+MP"), EngineVariant::RefMP);
@@ -752,6 +752,29 @@ TEST(JobSpec, RejectsUnknownKeysAndMalformedInput)
                std::runtime_error);
   EXPECT_THROW((void)io::parse_job_spec(R"({"driver": {"steps": -4294967295}})", "j"),
                std::runtime_error);
+  // Repeated keys are rejected, not merged (last value would win).
+  EXPECT_THROW((void)io::parse_job_spec(R"({"driver": {"steps": 3}, "driver": {"seed": 1}})",
+                                        "j"),
+               std::runtime_error);
+  // RFC 8259 numbers only: no bare leading '.', no leading '+'.
+  EXPECT_THROW((void)io::parse_job_spec(R"({"driver": {"tau": .5}})", "j"),
+               std::runtime_error);
+  EXPECT_THROW((void)io::parse_job_spec(R"({"driver": {"steps": +3}})", "j"),
+               std::runtime_error);
+  // A raw control character inside a string must be escaped.
+  EXPECT_THROW((void)io::parse_job_spec("{\"spec_path\": \"specs/a\tb.json\"}", "j"),
+               std::runtime_error);
+  try
+  {
+    (void)io::parse_job_spec(R"({"dmc": true, "dmc": false})", "dupjob");
+    FAIL() << "repeated key accepted";
+  }
+  catch (const std::runtime_error& e)
+  {
+    EXPECT_NE(std::string(e.what()).find("job 'dupjob': duplicate key 'dmc' at byte 14"),
+              std::string::npos)
+        << e.what();
+  }
   try
   {
     (void)io::parse_job_spec(R"({"driver": {"stepz": 3}})", "badjob");

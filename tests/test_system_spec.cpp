@@ -103,6 +103,10 @@ TEST(SystemSpec, CommittedSpecsPinnedHashes)
   {
     const SystemSpec spec = load_spec(file);
     EXPECT_EQ(spec_content_hash(spec), hash) << file;
+    // The committed files are exactly the serializer's output, byte for byte.
+    EXPECT_EQ(io::serialize_system_spec(spec),
+              io::read_text_file(std::string(QMCXX_SPECS_DIR) + "/" + file))
+        << file;
     const SystemSpec round =
         io::parse_system_spec(io::serialize_system_spec(spec), spec.name + " (round-trip)");
     expect_specs_equal(spec, round);
@@ -219,16 +223,41 @@ TEST(SpecParser, RejectsOutOfRangeInteger)
                      "species counts sum to 4294967294 ions");
 }
 
+TEST(SpecParser, RejectsDuplicateKey)
+{
+  // A repeated member must not merge: appending graphite.json's own
+  // "species" and "ion_positions" a second time would otherwise parse
+  // as a doubled system (128 ions, 2 species).
+  const std::string path = io::workload_spec_path(Workload::Graphite);
+  const std::string text = io::read_text_file(path);
+  const std::size_t species = text.find("  \"species\"");
+  const std::size_t close = text.rfind("\n}");
+  ASSERT_NE(species, std::string::npos);
+  ASSERT_NE(close, std::string::npos);
+  const std::string tail = text.substr(species, close - species); // "species" .. "ion_positions"
+  const std::string doubled = text.substr(0, close) + ",\n" + tail + text.substr(close);
+  expect_parse_fails(doubled, "duplicate key 'species'");
+}
+
+TEST(SpecParser, LexerErrorsNameTheSpec)
+{
+  // Lexer and structure errors carry the spec context, not a job one.
+  expect_parse_fails(tiny_spec_with("\"num_electrons\": 16", "\"num_electrons\": 016"),
+                     "spec 'test-spec': malformed number '016' at byte ");
+  expect_parse_fails(tiny_spec_with("\"name\": \"Tiny\"", "\"name\" \"Tiny\""),
+                     "spec 'test-spec': expected ':'");
+}
+
 TEST(JobSpecParser, AcceptsSpecPathAndEstimators)
 {
   const io::JobSpec job = io::parse_job_spec(
       R"({ "spec_path": "specs/graphite.json", "estimators": true,
            "variant": "current", "dmc": true, "driver": { "steps": 2 } })",
       "test-job");
-  EXPECT_EQ(job.spec_path, "specs/graphite.json");
-  EXPECT_TRUE(job.estimators);
-  EXPECT_TRUE(job.dmc);
-  EXPECT_EQ(job.driver.steps, 2);
+  EXPECT_EQ(job.run.spec_path, "specs/graphite.json");
+  EXPECT_TRUE(job.run.estimators);
+  EXPECT_TRUE(job.run.dmc);
+  EXPECT_EQ(job.run.driver.steps, 2);
 }
 
 TEST(JobSpecParser, WorkloadAndSpecPathAreMutuallyExclusive)

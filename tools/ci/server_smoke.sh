@@ -4,6 +4,8 @@
 # server mid-run, resume, and require (a) clean retirement of all jobs
 # and (b) streamed "generation" records identical to an uninterrupted
 # reference run -- the serving-path form of the exact-resume guarantee.
+# A fourth reference job, spooled as a"b.json, requires (c) that every
+# streamed record is valid JSON even when the job name needs escaping.
 #
 #   usage: tools/ci/server_smoke.sh BUILD_DIR
 set -euo pipefail
@@ -42,11 +44,23 @@ echo "$JOB3" > "$SPOOL/job3.json"
 echo "$JOB1" > "$REF/job1.json"
 echo "$JOB2" > "$REF/job2.json"
 echo "$JOB3" > "$REF/job3.json"
+# Job 4 (reference run only): a name holding a double quote.
+QUOTED='a"b'
+echo '{ "workload": "Graphite", "driver": { "steps": 2, "num_walkers": 2, "seed": 7,
+  "num_threads": 1 } }' > "$REF/$QUOTED.json"
 
 echo "server_smoke: reference run"
 "$SERVER" --spool "$REF" --once
 [ -f "$REF/job1.json.done" ] && [ -f "$REF/job2.json.done" ] && [ -f "$REF/job3.json.done" ] \
+  && [ -f "$REF/$QUOTED.json.done" ] \
   || { echo "server_smoke: reference run did not retire all jobs" >&2; exit 1; }
+# Every streamed line must parse as JSON, and the quoted job name must
+# come back intact.
+python3 -c 'import json,sys; [json.loads(l) for l in sys.stdin]' < "$REF/$QUOTED.json.stream" \
+  || { echo "server_smoke: $QUOTED.json.stream holds invalid JSON" >&2; exit 1; }
+python3 -c 'import json,sys; assert all(json.loads(l)["job"] == sys.argv[1] for l in sys.stdin)' \
+  "$QUOTED" < "$REF/$QUOTED.json.stream" \
+  || { echo "server_smoke: $QUOTED.json.stream does not name its job" >&2; exit 1; }
 
 echo "server_smoke: interrupted run"
 "$SERVER" --spool "$SPOOL" &

@@ -64,6 +64,13 @@ fullprec-drift-accumulator  Inverse-drift guard accumulators in
                          cannot see the drift it is guarding against.
                          Row *storage* (Matrix<TR> scratch) stays TR -- only
                          scalar declarations are flagged.
+json-outside-io          No hand-built JSON in src/, bench/ or examples/
+                         outside src/io/json.*: a C++ string literal holding
+                         an escaped-quote key and a colon (\\"key\\": ...)
+                         is a JSON fragment formatted by hand. io/json.h's
+                         Writer owns escaping, number text and separators,
+                         so records gain fields in one place. tests/ is
+                         exempt (it holds JSON inputs).
 dangling-doc-reference   A comment under src/, bench/, tests/ or examples/
                          that names a *.md file must name one that exists.
                          A path with a directory resolves against the repo
@@ -133,16 +140,19 @@ class Rule:
         raise NotImplementedError
 
 
-def _split_code_and_comments(lines: list[str]) -> tuple[list[str], list[str]]:
+def _split_code_and_comments(lines: list[str]) -> tuple[list[str], list[str], list[str]]:
     """Per line, return (code with comments and string/char literals
-    blanked out, the text of the line's comments), preserving line
-    structure so findings keep their line numbers."""
+    blanked out, the text of the line's comments, the bodies of its
+    string literals as written), preserving line structure so findings
+    keep their line numbers."""
     out = []
     comments = []
+    strings = []
     in_block = False
     for line in lines:
         res = []
         com = []
+        lit = []
         i, n = 0, len(line)
         while i < n:
             c = line[i]
@@ -165,6 +175,7 @@ def _split_code_and_comments(lines: list[str]) -> tuple[list[str], list[str]]:
                 quote = c
                 res.append(quote)
                 i += 1
+                start = i
                 while i < n:
                     if line[i] == "\\":
                         i += 2
@@ -172,6 +183,8 @@ def _split_code_and_comments(lines: list[str]) -> tuple[list[str], list[str]]:
                     if line[i] == quote:
                         break
                     i += 1
+                if quote == '"':
+                    lit.append(line[start:i])
                 res.append(quote)
                 i += 1
                 continue
@@ -179,7 +192,8 @@ def _split_code_and_comments(lines: list[str]) -> tuple[list[str], list[str]]:
             i += 1
         out.append("".join(res))
         comments.append("".join(com))
-    return out, comments
+        strings.append("\n".join(lit))
+    return out, comments, strings
 
 
 def _strip_comments_and_strings(lines: list[str]) -> list[str]:
@@ -335,6 +349,36 @@ class ScalarSpoInCrowdPathRule(Rule):
         return findings
 
 
+class JsonOutsideIoRule(Rule):
+    """Flag hand-built JSON: string literals holding an escaped-quote key
+    followed by a colon, outside the JSON layer."""
+
+    KEY_RE = re.compile(r'\\"\s*:')
+
+    def __init__(self, rule_id: str, description: str, include_dirs: tuple[str, ...],
+                 exclude_prefixes: tuple[str, ...]):
+        super().__init__(rule_id, description)
+        self.include_dirs = include_dirs
+        self.exclude_prefixes = exclude_prefixes
+
+    def applies_to(self, relpath: str) -> bool:
+        return (any(relpath.startswith(d) for d in self.include_dirs)
+                and not any(relpath.startswith(p) for p in self.exclude_prefixes))
+
+    def scan(self, relpath: str, lines: list[str]) -> list[Finding]:
+        findings = []
+        _, _, strings = _split_code_and_comments(lines)
+        for lineno, text in enumerate(strings, start=1):
+            m = self.KEY_RE.search(text)
+            if m:
+                findings.append(Finding(
+                    relpath, lineno, self.rule_id,
+                    "hand-built JSON in a string literal: write records through "
+                    "io::json::Writer (src/io/json.h), which owns escaping, "
+                    "number text and separators"))
+        return findings
+
+
 class DanglingDocReferenceRule(Rule):
     """Flag comments that name a *.md document the repo does not have."""
 
@@ -369,7 +413,7 @@ class DanglingDocReferenceRule(Rule):
 
     def scan(self, relpath: str, lines: list[str]) -> list[Finding]:
         findings = []
-        _, comments = _split_code_and_comments(lines)
+        _, comments, _ = _split_code_and_comments(lines)
         for lineno, text in enumerate(comments, start=1):
             for m in self.MD_RE.finditer(text):
                 if not self._exists(relpath, m.group(1)):
@@ -416,7 +460,7 @@ RULES: list[Rule] = [
         r"\b(?:std::)?(?:i|o)?fstream\b|\bfopen\s*\(|\bfreopen\s*\(|\bfwrite\s*\(|"
         r"\bfread\s*\(",
         "file I/O in library and example code must go through src/io/ "
-        "(snapshot.h, stream_log.h, job_spec.h): one place owns formats, "
+        "(snapshot.h, json.h, job_spec.h): one place owns formats, "
         "atomic-rename discipline, and error reporting",
         include_dirs=("src/", "examples/"),
         exclude_dirs=("src/io/", "src/instrument/"),
@@ -457,6 +501,12 @@ RULES: list[Rule] = [
         "residual computed in the monitored precision cannot see the "
         "drift it guards against",
         include_dirs=("src/wavefunction/",),
+    ),
+    JsonOutsideIoRule(
+        "json-outside-io",
+        "hand-built JSON string literals outside src/io/json.*",
+        include_dirs=("src/", "bench/", "examples/"),
+        exclude_prefixes=("src/io/json.",),
     ),
     DanglingDocReferenceRule(
         "dangling-doc-reference",
