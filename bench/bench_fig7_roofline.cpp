@@ -124,7 +124,7 @@ int main(int argc, char** argv)
     std::printf("%s profile:\n", to_string(variants[c]));
     print_profile(to_string(variants[c]), reports[c].profile,
                   c == 1 ? 1.0 / speedup : 1.0);
-    const auto kernels = build_roofline(reports[c].profile, info, variants[c]);
+    const auto kernels = build_roofline(reports[c].profile, info, variants[c].precision);
     std::vector<std::vector<std::string>> rows;
     rows.push_back({"kernel", "AI (flop/byte)", "GFLOP/s", "% of roof"});
     for (const auto& k : kernels)
@@ -144,8 +144,8 @@ int main(int argc, char** argv)
 
   // Shape checks mirrored from the figure: AI and GFLOPS increase for
   // the profiled kernels going Ref -> Current.
-  const auto ref_k = build_roofline(reports[0].profile, info, EngineVariant::Ref);
-  const auto cur_k = build_roofline(reports[1].profile, info, EngineVariant::Current);
+  const auto ref_k = build_roofline(reports[0].profile, info, Precision::Double);
+  const auto cur_k = build_roofline(reports[1].profile, info, Precision::Single);
   std::printf("Ref -> Current movement (paper: 'large jump in both AI and FLOPS'):\n");
   for (std::size_t i = 0; i < ref_k.size(); ++i)
   {

@@ -61,7 +61,7 @@ int main()
   {
     const SystemSpec info = bench::load_spec(w);
     const EngineReport rep = bench::run(w, EngineVariant::Current);
-    auto kernels = build_roofline(rep.profile, info, EngineVariant::Current);
+    auto kernels = build_roofline(rep.profile, info, Precision::Single);
     // Treat the non-kernel remainder (Ewald, branching) as compute work
     // with the host-measured share of the kernel flops.
     double kernel_flops = 0, kernel_seconds = 0;

@@ -19,12 +19,11 @@ EngineReport run_with_precision(Workload w, Precision p)
 {
   EngineRunSpec spec;
   spec.spec_path = io::workload_spec_path(w);
-  // Soa layout for both runs; the policy supplies the word size, so the
-  // measured delta is purely sizeof(TR) (Current vs CurrentDP).
-  spec.variant = EngineVariant::Current;
+  // Soa layout for both runs, so the measured delta is purely
+  // sizeof(TR) (Current vs CurrentDP).
+  spec.variant = variant_for(EngineLayout::Soa, p);
   spec.dmc = true;
   spec.driver = bench::default_config(w);
-  spec.driver.precision.precision = p;
   spec.driver.precision.drift_tolerance = 1e-3;
   spec.driver.precision.drift_sample_rows = 2;
   return run_engine(spec);

@@ -11,12 +11,12 @@
 // Current engines for a fixed wall-time budget and reports the CORAL
 // figure of merit: MC samples generated per second. --delay R > 1
 // switches both engines to delayed (Woodbury) determinant updates with
-// a rank-R window (Sec. 8.4). --precision forces both engines to the
-// given compute precision (overriding the variants' single/double
-// defaults), so the ratio compares layouts at equal word size. The
-// checkpoint flags apply to the measured Current run: SIGINT
-// checkpoints it at the next generation barrier, and --resume
-// continues a saved chain bitwise-exactly.
+// a rank-R window (Sec. 8.4). --precision replaces both engines'
+// compute precision (Ref is double, Current single by default), so the
+// ratio compares layouts at equal word size. The checkpoint flags apply
+// to the measured Current run: SIGINT checkpoints it at the next
+// generation barrier, and --resume continues a saved chain
+// bitwise-exactly.
 #include <atomic>
 #include <csignal>
 #include <cstdio>
@@ -63,7 +63,18 @@ int main(int argc, char** argv)
               delay_rank);
 
   double thpt[2] = {0, 0};
-  const EngineVariant variants[2] = {EngineVariant::Ref, EngineVariant::Current};
+  EngineVariant variants[2] = {EngineVariant::Ref, EngineVariant::Current};
+  try
+  {
+    if (!precision.empty())
+      for (EngineVariant& v : variants)
+        v.precision = io::precision_from_name(precision);
+  }
+  catch (const std::exception& e)
+  {
+    std::fprintf(stderr, "graphite_throughput: %s\n", e.what());
+    return 1;
+  }
   for (int c = 0; c < 2; ++c)
   {
     // Calibrate: one short run to estimate step cost, then fill the
@@ -76,12 +87,10 @@ int main(int argc, char** argv)
     spec.driver.steps = 1;
     spec.driver.num_threads = 1;
     spec.driver.delay_rank = delay_rank;
-    if (!precision.empty())
-      spec.driver.precision.precision = io::precision_from_name(precision);
     EngineReport probe = run_engine(spec);
     const double step_cost = probe.result.seconds;
     spec.driver.steps = std::max(1, static_cast<int>(budget_s / std::max(1e-3, step_cost)));
-    if (variants[c] == EngineVariant::Current)
+    if (variants[c].layout == EngineLayout::Soa)
     {
       // The measured Current run is the one worth checkpointing.
       spec.driver.checkpoint_every = checkpoint_every;
@@ -91,7 +100,7 @@ int main(int argc, char** argv)
     }
     const EngineReport rep = run_engine(spec);
     thpt[c] = rep.result.throughput;
-    std::printf("%-8s  %4d steps in %6.2f s  ->  %8.2f samples/s   E = %10.3f Ha\n",
+    std::printf("%-11s  %4d steps in %6.2f s  ->  %8.2f samples/s   E = %10.3f Ha\n",
                 to_string(variants[c]), spec.driver.steps, rep.result.seconds,
                 rep.result.throughput, rep.result.mean_energy);
     if (rep.result.interrupted)

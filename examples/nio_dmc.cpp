@@ -1,7 +1,7 @@
 // NiO-32 diffusion Monte Carlo: the paper's flagship strongly-correlated
 // workload (Sec. 4.1), runnable under any engine configuration.
 //
-//   ./nio_dmc [--variant ref|refmp|current] [--precision single|double]
+//   ./nio_dmc [--variant ref|refmp|current|currentdp] [--precision single|double]
 //             [--steps N] [--walkers N] [--tau T] [--threads N] [--nio64]
 //             [--checkpoint PATH [--checkpoint-every N]] [--resume PATH]
 //
@@ -10,8 +10,8 @@
 // production-style run of Alg. 1. With --checkpoint, SIGINT saves a
 // qmcxx-snap-v1 snapshot at the next generation barrier (exit code 3);
 // --resume continues the saved chain bitwise-exactly, branching
-// history included. --precision overrides the variant's compute
-// precision (the variant then contributes only its layout).
+// history included. --precision replaces the variant's compute
+// precision, in either flag order; the engine line names the result.
 #include <atomic>
 #include <csignal>
 #include <cstdio>
@@ -32,9 +32,9 @@ void on_signal(int) { g_stop.store(true); }
 
 int main(int argc, char** argv)
 {
+  std::string variant = "current", precision;
   EngineRunSpec spec;
   spec.spec_path = io::workload_spec_path(Workload::NiO32);
-  spec.variant = EngineVariant::Current;
   spec.dmc = true;
   spec.driver.tau = 0.02;
   spec.driver.steps = 5;
@@ -46,14 +46,9 @@ int main(int argc, char** argv)
     if (!std::strcmp(argv[a], "--nio64"))
       spec.spec_path = io::workload_spec_path(Workload::NiO64);
     else if (a + 1 < argc && !std::strcmp(argv[a], "--variant"))
-    {
-      const std::string v = argv[++a];
-      spec.variant = v == "ref" ? EngineVariant::Ref
-          : v == "refmp"       ? EngineVariant::RefMP
-                               : EngineVariant::Current;
-    }
+      variant = argv[++a];
     else if (a + 1 < argc && !std::strcmp(argv[a], "--precision"))
-      spec.driver.precision.precision = io::precision_from_name(argv[++a]);
+      precision = argv[++a];
     else if (a + 1 < argc && !std::strcmp(argv[a], "--steps"))
       spec.driver.steps = std::atoi(argv[++a]);
     else if (a + 1 < argc && !std::strcmp(argv[a], "--walkers"))
@@ -68,6 +63,17 @@ int main(int argc, char** argv)
       spec.driver.checkpoint_every = std::atoi(argv[++a]);
     else if (a + 1 < argc && !std::strcmp(argv[a], "--resume"))
       spec.resume_path = argv[++a];
+  }
+  try
+  {
+    spec.variant = io::variant_from_name(variant);
+    if (!precision.empty())
+      spec.variant.precision = io::precision_from_name(precision);
+  }
+  catch (const std::exception& e)
+  {
+    std::fprintf(stderr, "nio_dmc: %s\n", e.what());
+    return 1;
   }
   spec.driver.stop_flag = &g_stop;
   std::signal(SIGINT, on_signal);

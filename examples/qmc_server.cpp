@@ -36,6 +36,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <iostream>
 #include <string>
 
 #include "drivers/qmc_system.h"
@@ -233,11 +234,10 @@ int serve_stdin(const ServerOptions& opt)
 {
   // One JSON job per line; records go to stdout (no spool, so no
   // checkpoint file -- an interrupt abandons the in-flight job).
-  char line[65536];
+  std::string text;
   int job_index = 0;
-  while (!g_stop.load() && std::fgets(line, sizeof(line), stdin) != nullptr)
+  while (!g_stop.load() && std::getline(std::cin, text))
   {
-    const std::string text(line);
     if (text.find_first_not_of(" \t\r\n") == std::string::npos)
       continue;
     const std::string name = "stdin-" + std::to_string(job_index++);

@@ -12,8 +12,8 @@
 // system (SPO set, trial wavefunction, Hamiltonian).
 //
 // --describe parses only (no build) and prints what the engine would
-// resolve from the file: sizes, species, delay rank, and the default
-// compute precision ("precision" key; unset defers to the variant).
+// resolve from the file: sizes, species, delay rank and content hash.
+// A spec carries no compute precision; the engine variant chooses it.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -66,9 +66,6 @@ int describe_specs(const std::vector<std::string>& paths)
     try
     {
       const SystemSpec spec = io::parse_system_spec(io::read_text_file(path), path);
-      const char* precision = spec.precision_bytes == 0
-          ? "unset (variant default)"
-          : (spec.precision_bytes == 8 ? "double" : "single");
       std::printf("%s:\n", path.c_str());
       std::printf("  name            %s\n", spec.name.c_str());
       std::printf("  electrons       %d (%d orbitals)\n", spec.num_electrons,
@@ -79,7 +76,6 @@ int describe_specs(const std::vector<std::string>& paths)
                   spec.ion_positions.size(),
                   spec.has_pseudopotential ? " (pseudopotential)" : "");
       std::printf("  delay_rank      %d\n", spec.delay_rank);
-      std::printf("  precision       %s\n", precision);
       std::printf("  content hash    %llu\n",
                   static_cast<unsigned long long>(spec_content_hash(spec)));
     }

@@ -4,18 +4,18 @@
 // QMCPACK:
 //   Ref      -- AoS data layout, store-over-compute, all double precision
 //   Ref+MP   -- Ref algorithms with key tables in single precision
-//   Current  -- SoA layout, forward update, compute-on-the-fly, mixed
-//               precision
-// qmcxx mirrors this taxonomy: layout is selected by concrete classes
-// (Aos* vs Soa*), precision by the TR template parameter, and the three
-// named configurations are EngineVariant values wired up in
-// drivers/qmc_system.h.
+//   Current  -- SoA layout, compute-on-the-fly, mixed precision
+// Two axes separate them, and qmcxx keeps exactly those two: an
+// EngineVariant is the {EngineLayout, Precision} pair. Layout selects
+// the concrete classes (Aos* vs Soa*), precision the TR template
+// parameter; run_engine (drivers/qmc_system.h) dispatches on the pair.
+// The legacy names ("ref", "currentdp", ...) are parsed only at the
+// CLI/job-spec edge (io::variant_from_name).
 #ifndef QMCXX_CONFIG_CONFIG_H
 #define QMCXX_CONFIG_CONFIG_H
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -53,31 +53,10 @@ using AccumType = FullPrecReal;
 /// resulting drift; per-walker and ensemble *accumulators* stay double.
 using PosReal = double;
 
-/// The three engine configurations evaluated in the paper.
-enum class EngineVariant
-{
-  Ref,     ///< AoS, store-over-compute, double
-  RefMP,   ///< AoS, store-over-compute, mixed precision
-  Current, ///< SoA, forward update, compute-on-the-fly, mixed precision
-  CurrentDP ///< Current algorithms in full double precision (ablation)
-};
-
-inline const char* to_string(EngineVariant v)
-{
-  switch (v)
-  {
-  case EngineVariant::Ref: return "Ref";
-  case EngineVariant::RefMP: return "Ref+MP";
-  case EngineVariant::Current: return "Current";
-  case EngineVariant::CurrentDP: return "Current(DP)";
-  }
-  return "unknown";
-}
-
-/// Compute precision of the hot path (the TR template parameter),
-/// selectable at run time. `Single` is the paper's production mixed
-/// precision (TR = float tables/kernels, FullPrecReal accumulators and
-/// inversions, Sec. 7.2); `Double` is the full-precision reference.
+/// Compute precision of the hot path (the TR template parameter).
+/// `Single` is the paper's production mixed precision (TR = float
+/// tables/kernels, FullPrecReal accumulators and inversions, Sec. 7.2);
+/// `Double` is the full-precision reference.
 enum class Precision
 {
   Double, ///< TR = double everywhere
@@ -97,48 +76,51 @@ inline int precision_bytes(Precision p)
 }
 
 /// Data-layout half of the engine taxonomy: the paper's Ref engines are
-/// AoS store-over-compute, the Current engines SoA forward-update.
+/// AoS store-over-compute, the Current engines SoA compute-on-the-fly.
 enum class EngineLayout
 {
   Aos, ///< AoS containers, store-over-compute (Ref algorithms)
-  Soa  ///< SoA containers, forward update, compute-on-the-fly
+  Soa  ///< SoA containers, compute-on-the-fly
 };
 
-inline const char* to_string(EngineLayout l)
+/// An engine configuration: the paper's two design axes. The named
+/// constants are the four cells of the grid.
+struct EngineVariant
 {
-  return l == EngineLayout::Aos ? "aos" : "soa";
+  EngineLayout layout = EngineLayout::Soa;
+  Precision precision = Precision::Single;
+
+  static const EngineVariant Ref;       ///< AoS, store-over-compute, double
+  static const EngineVariant RefMP;     ///< AoS, store-over-compute, mixed precision
+  static const EngineVariant Current;   ///< SoA, compute-on-the-fly, mixed precision
+  static const EngineVariant CurrentDP; ///< Current algorithms in double (ablation)
+
+  friend bool operator==(const EngineVariant&, const EngineVariant&) = default;
+};
+
+inline constexpr EngineVariant EngineVariant::Ref{EngineLayout::Aos, Precision::Double};
+inline constexpr EngineVariant EngineVariant::RefMP{EngineLayout::Aos, Precision::Single};
+inline constexpr EngineVariant EngineVariant::Current{EngineLayout::Soa, Precision::Single};
+inline constexpr EngineVariant EngineVariant::CurrentDP{EngineLayout::Soa, Precision::Double};
+
+inline constexpr EngineVariant variant_for(EngineLayout l, Precision p)
+{
+  return {l, p};
 }
 
-/// The four EngineVariant spellings are aliases over the orthogonal
-/// {layout} x {precision} grid; these helpers map between the two
-/// views. The drivers dispatch on (layout, precision) -- the variant
-/// names survive only as user-facing aliases and fingerprint labels.
-inline EngineLayout layout_of(EngineVariant v)
+/// The paper's label of a configuration. Snapshot fingerprints hash
+/// these strings, so they are part of the checkpoint identity.
+inline const char* to_string(EngineVariant v)
 {
-  return (v == EngineVariant::Ref || v == EngineVariant::RefMP) ? EngineLayout::Aos
-                                                                : EngineLayout::Soa;
+  if (v.layout == EngineLayout::Aos)
+    return v.precision == Precision::Double ? "Ref" : "Ref+MP";
+  return v.precision == Precision::Double ? "Current(DP)" : "Current";
 }
 
-inline Precision precision_of(EngineVariant v)
-{
-  return (v == EngineVariant::Ref || v == EngineVariant::CurrentDP) ? Precision::Double
-                                                                    : Precision::Single;
-}
-
-/// Canonical variant alias for a (layout, precision) cell -- the name
-/// stamped into checkpoint fingerprints so an aliased run and its
-/// precision-overridden equivalent agree on identity.
-inline EngineVariant variant_for(EngineLayout l, Precision p)
-{
-  if (l == EngineLayout::Aos)
-    return p == Precision::Double ? EngineVariant::Ref : EngineVariant::RefMP;
-  return p == Precision::Double ? EngineVariant::CurrentDP : EngineVariant::Current;
-}
-
-/// Runtime precision policy (paper Sec. 7.2): which TR the engine
-/// computes in, plus the drift-guard knobs that make the float path
-/// production-safe. Threaded DriverConfig -> EngineRunSpec ->
-/// run_engine; the monitor itself lives in DiracDeterminant.
+/// Drift-guard knobs of the precision policy (paper Sec. 7.2): what
+/// makes the float path production-safe. Threaded DriverConfig ->
+/// EngineRunSpec -> run_engine; the monitor itself lives in
+/// DiracDeterminant. The compute precision is EngineVariant::precision.
 ///
 /// The guard samples `drift_sample_rows` rotating rows of the inverse
 /// each generation (row indices derived from the generation counter
@@ -149,9 +131,6 @@ inline EngineVariant variant_for(EngineLayout l, Precision p)
 /// forces one every that many generations regardless of residual.
 struct PrecisionPolicy
 {
-  /// Compute precision. Unset means "inherit": first from the system
-  /// spec's optional precision default, else from the variant alias.
-  std::optional<Precision> precision;
   /// Refresh when the sampled inverse residual exceeds this (0 disables
   /// residual-triggered refreshes; double-path residuals ~1e-12 never
   /// reach the default, keeping double chains bitwise-identical).

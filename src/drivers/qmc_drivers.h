@@ -94,10 +94,9 @@ struct DriverConfig
   /// reduced (absolute generation index). Used by qmc_server to stream
   /// incremental scalar observables; must not throw.
   std::function<void(int, const GenerationStats&)> on_generation;
-  /// Runtime precision policy (paper Sec. 7.2): compute precision plus
-  /// the inverse-drift guard knobs. The `precision` field is resolved by
-  /// run_engine before the driver is built; the guard knobs are read
-  /// each generation at the measurement barrier.
+  /// Inverse-drift guard knobs (paper Sec. 7.2), read each generation
+  /// at the measurement barrier. The compute precision is the driver's
+  /// TR, chosen by EngineRunSpec::variant.
   PrecisionPolicy precision;
 };
 

@@ -1,6 +1,5 @@
 #include "drivers/qmc_system.h"
 
-#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -19,8 +18,7 @@ namespace
 {
 
 template<typename TR>
-EngineReport run_typed(const EngineRunSpec& spec, const SystemSpec& sysspec,
-                       EngineVariant effective_variant)
+EngineReport run_typed(const EngineRunSpec& spec, const SystemSpec& sysspec)
 {
   auto& mt = MemoryTracker::instance();
   auto& timers = TimerRegistry::instance();
@@ -29,7 +27,7 @@ EngineReport run_typed(const EngineRunSpec& spec, const SystemSpec& sysspec,
 
   const Stopwatch build_watch;
   BuildOptions opt;
-  opt.soa_layout = layout_of(effective_variant) == EngineLayout::Soa;
+  opt.soa_layout = spec.variant.layout == EngineLayout::Soa;
   opt.seed = spec.driver.seed;
   // The spec's delay_rank is a default; an explicit driver request
   // (> 1) wins so job files can still A/B the delayed path.
@@ -39,13 +37,11 @@ EngineReport run_typed(const EngineRunSpec& spec, const SystemSpec& sysspec,
   // Stamp the workload identity into the driver config so snapshots
   // written by this run carry it, and restores verify it. The resolved
   // spec's content hash distinguishes same-named different-content
-  // specs (satellite of the spec-ingestion contract). The variant label
-  // is the canonical {layout} x {precision} alias, so an aliased run
-  // and its precision-overridden equivalent agree on identity.
+  // specs.
   DriverConfig dcfg = spec.driver;
   dcfg.delay_rank = opt.delay_rank;
   dcfg.checkpoint_fingerprint = io::workload_fingerprint(
-      sysspec.name, to_string(effective_variant), dcfg.delay_rank, spec_content_hash(sysspec));
+      sysspec.name, to_string(spec.variant), dcfg.delay_rank, spec_content_hash(sysspec));
   QMCDriver<TR> driver(*sys.elec, *sys.twf, *sys.ham, dcfg);
   if (spec.estimators)
     driver.set_estimators(
@@ -76,21 +72,6 @@ EngineReport run_typed(const EngineRunSpec& spec, const SystemSpec& sysspec,
   return report;
 }
 
-/// Effective compute precision of a run. Resolution order: explicit
-/// policy (job "precision" key / CLI --precision) > spec-file default >
-/// the variant alias's precision half. With nothing set, the legacy
-/// variant names behave exactly as the old 4-way switch.
-Precision resolve_precision(const EngineRunSpec& spec, const SystemSpec& sysspec)
-{
-  if (spec.driver.precision.precision)
-    return *spec.driver.precision.precision;
-  if (sysspec.precision_bytes == 4)
-    return Precision::Single;
-  if (sysspec.precision_bytes == 8)
-    return Precision::Double;
-  return precision_of(spec.variant);
-}
-
 } // namespace
 
 EngineReport run_engine(const EngineRunSpec& spec)
@@ -100,30 +81,8 @@ EngineReport run_engine(const EngineRunSpec& spec)
                                 "qmcxx-spec-v1 system file, e.g. io::workload_spec_path)");
   const SystemSpec sysspec =
       io::parse_system_spec(io::read_text_file(spec.spec_path), spec.spec_path);
-  const Precision prec = resolve_precision(spec, sysspec);
-  // Orthogonal {layout} x {precision} dispatch: the variant supplies
-  // only its layout half once precision is resolved.
-  const EngineVariant effective = variant_for(layout_of(spec.variant), prec);
-
-  // Job-level resume guard: an *explicit* precision request that
-  // contradicts the snapshot's sizeof(TR) tag fails here with a named
-  // error before any build work. Implicit (alias-derived) mismatches
-  // still fail inside restore_snapshot with the snapshot-layer message.
-  if (spec.driver.precision.precision && !spec.resume_path.empty())
-  {
-    const io::PopulationSnapshot snap = io::read_snapshot_file(spec.resume_path);
-    if (snap.precision_bytes != static_cast<std::uint32_t>(precision_bytes(prec)))
-      throw std::runtime_error(
-          std::string("qmcxx-spec: requested precision \"") + to_string(prec) + "\" (" +
-          std::to_string(precision_bytes(prec)) + "-byte) contradicts resume snapshot " +
-          spec.resume_path + ", which was written by a " +
-          (snap.precision_bytes == 8 ? "double" : "single") + " (" +
-          std::to_string(snap.precision_bytes) +
-          "-byte) engine; drop the \"precision\" override or resume with the matching one");
-  }
-
-  return prec == Precision::Double ? run_typed<double>(spec, sysspec, effective)
-                                   : run_typed<float>(spec, sysspec, effective);
+  return spec.variant.precision == Precision::Double ? run_typed<double>(spec, sysspec)
+                                                     : run_typed<float>(spec, sysspec);
 }
 
 } // namespace qmcxx

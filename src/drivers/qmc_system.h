@@ -1,5 +1,6 @@
 // Type-erased engine runner: one call runs the system of a qmcxx-spec-v1
-// file under a named engine configuration (Ref / Ref+MP / Current) and
+// file under an engine configuration (an EngineVariant: data layout x
+// compute precision, e.g. Ref / Ref+MP / Current / Current(DP)) and
 // returns the figures of merit the paper reports -- throughput, hot-spot
 // profile, memory footprint -- alongside the physics statistics.
 #ifndef QMCXX_DRIVERS_QMC_SYSTEM_H
@@ -32,11 +33,7 @@ struct EngineRunSpec
   /// Path to the qmcxx-spec-v1 system file (required; the paper
   /// workloads are io::workload_spec_path(Workload)).
   std::string spec_path;
-  /// Engine configuration alias. Since precision became a runtime
-  /// policy, the variant contributes its layout half unconditionally
-  /// and its precision half only as the lowest-priority default: an
-  /// explicit driver.precision.precision, then a spec-file "precision"
-  /// key, override it (run_engine's resolve order).
+  /// Data layout and compute precision: the one source of both.
   EngineVariant variant = EngineVariant::Current;
   DriverConfig driver;
   bool dmc = true; ///< DMC (Alg. 1) vs VMC sampling
@@ -52,8 +49,8 @@ struct EngineRunSpec
   std::string resume_path;
 };
 
-/// Build the system for the requested variant, run it, and collect the
-/// report. Timer and memory-tracker state is reset around the run.
+/// Build the system in the variant's layout, run it in the variant's
+/// precision, and collect the report. Timer and memory-tracker state is reset around the run.
 EngineReport run_engine(const EngineRunSpec& spec);
 
 } // namespace qmcxx

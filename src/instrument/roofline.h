@@ -43,9 +43,9 @@ struct MachineRoofs
 MachineRoofs measure_machine_roofs();
 
 /// Per-kernel analytic flop/byte totals for a run of `totals` on the
-/// given system under the given engine variant.
+/// given system in the given compute precision.
 std::vector<KernelRoofline> build_roofline(const KernelTotals& totals, const SystemSpec& spec,
-                                           EngineVariant variant);
+                                           Precision precision);
 
 } // namespace qmcxx
 

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -136,6 +137,7 @@ JobSpec parse_job_spec(const std::string& json_text, const std::string& job_name
   json::Reader r(json_text, "job '" + job_name + "'");
   Workload workload = Workload::Graphite;
   bool saw_workload = false;
+  std::optional<Precision> precision;
   r.members([&](const std::string& key) {
     if (key == "workload")
     {
@@ -145,7 +147,7 @@ JobSpec parse_job_spec(const std::string& json_text, const std::string& job_name
     else if (key == "variant")
       job.run.variant = variant_from_name(r.string());
     else if (key == "precision")
-      job.run.driver.precision.precision = precision_from_name(r.string());
+      precision = precision_from_name(r.string());
     else if (key == "driver")
       parse_driver_object(r, job.run.driver);
     else if (!r.field(key, "spec_path", job.run.spec_path) &&
@@ -154,6 +156,10 @@ JobSpec parse_job_spec(const std::string& json_text, const std::string& job_name
       r.fail("unknown key '" + key + "'");
   });
   r.finish("job object");
+  // "precision" overrides the precision half of "variant" whichever
+  // key comes first.
+  if (precision)
+    job.run.variant.precision = *precision;
   if (saw_workload && !job.run.spec_path.empty())
     throw std::runtime_error("job '" + job_name +
                              "': \"workload\" and \"spec_path\" are mutually exclusive "
@@ -205,8 +211,6 @@ SystemSpec parse_system_spec(const std::string& json_text, const std::string& or
           r.fail("unknown jastrow key '" + k + "'");
       });
     }
-    else if (key == "precision")
-      spec.precision_bytes = precision_bytes(precision_from_name(r.string()));
     else if (key == "species")
       r.elements([&] { parse_species_entry(r, spec); });
     else if (key == "ion_positions")
@@ -277,10 +281,6 @@ std::string serialize_system_spec(const SystemSpec& spec)
   w.end_object();
   w.key("jastrow").begin_object(Layout::Padded).member("knots", spec.jastrow_knots).end_object();
   w.member("delay_rank", spec.delay_rank);
-  // Optional key, written only when set: committed precision-less specs
-  // stay byte-identical and still round-trip bitwise.
-  if (spec.precision_bytes != 0)
-    w.member("precision", spec.precision_bytes == 8 ? "double" : "single");
   w.member("pseudopotential", spec.has_pseudopotential);
   w.key("species").begin_array(Layout::Lines);
   for (std::size_t s = 0; s < spec.species.size(); ++s)

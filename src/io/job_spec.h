@@ -62,16 +62,19 @@ struct JobSpec
 [[nodiscard]] std::string workload_spec_path(Workload w);
 
 /// "ref" / "refmp" / "current" / "currentdp" (case-insensitive, also
-/// accepts the display names "Ref+MP" etc). Throws on anything else.
+/// accepts the display names "Ref+MP" etc) as their {layout, precision}
+/// pairs: the only place the legacy names are read. Throws on anything
+/// else.
 [[nodiscard]] EngineVariant variant_from_name(const std::string& s);
 
-/// "single" / "double" (case-insensitive), the job-spec and
-/// qmcxx-spec-v1 "precision" values. Throws on anything else.
+/// "single" / "double" (case-insensitive), the job-spec "precision"
+/// and CLI --precision values. Throws on anything else.
 [[nodiscard]] Precision precision_from_name(const std::string& s);
 
-/// Parse one job-request JSON object. Throws std::runtime_error with a
-/// position/key-naming message on malformed input, unknown or repeated
-/// keys.
+/// Parse one job-request JSON object. A "precision" key replaces the
+/// precision half of "variant", in either key order. Throws
+/// std::runtime_error with a position/key-naming message on malformed
+/// input, unknown or repeated keys.
 [[nodiscard]] JobSpec parse_job_spec(const std::string& json_text, const std::string& job_name);
 
 /// Sorted *.json paths in a spool directory (skips .done/.failed/...;

@@ -232,7 +232,7 @@ void validate_compatible(const PopulationSnapshot& snap, const SnapshotExpectati
         precision_name(snap.precision_bytes) + " (" + std::to_string(snap.precision_bytes) +
         "-byte) engine, this engine computes in " + precision_name(expect.precision_bytes) +
         " (" + std::to_string(expect.precision_bytes) +
-        "-byte); rerun with the matching \"precision\" policy (or variant alias)");
+        "-byte); rerun with the matching \"variant\" or \"precision\"");
   if (expect.fingerprint != 0 && snap.workload_fingerprint != 0 &&
       snap.workload_fingerprint != expect.fingerprint)
     throw std::runtime_error("qmcxx-snap: workload fingerprint mismatch (snapshot " +

@@ -10,7 +10,7 @@
 //            scalar loops. Selected by LayoutMode::Reference; used only
 //            by the parity tests and the Fig. 6a baseline benches.
 //   Soa*  -- the canonical implementation (Fig. 6b): full N x Np padded
-//            rows on SoA storage, forward update or compute-on-the-fly.
+//            rows on SoA storage, compute-on-the-fly.
 //
 // Consumers never branch on layout: every table serves its committed
 // rows and the proposed-move row through the unified DTRowView accessor

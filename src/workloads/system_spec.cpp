@@ -42,10 +42,6 @@ std::uint64_t spec_content_hash(const SystemSpec& spec)
   f.mix_i64(spec.num_orbitals);
   f.mix_i64(spec.jastrow_knots);
   f.mix_i64(spec.delay_rank);
-  // Only mixed when set: specs without a precision default keep their
-  // pre-existing hashes (and old snapshots their fingerprints).
-  if (spec.precision_bytes != 0)
-    f.mix_i64(spec.precision_bytes);
   f.mix_i64(spec.has_pseudopotential ? 1 : 0);
   for (const auto& row : spec.lattice.rows())
     for (unsigned d = 0; d < 3; ++d)
@@ -95,7 +91,7 @@ bool operator==(const SystemSpec& a, const SystemSpec& b)
 {
   if (a.name != b.name || a.num_electrons != b.num_electrons || a.grid != b.grid ||
       a.num_orbitals != b.num_orbitals || a.jastrow_knots != b.jastrow_knots ||
-      a.delay_rank != b.delay_rank || a.precision_bytes != b.precision_bytes ||
+      a.delay_rank != b.delay_rank ||
       a.has_pseudopotential != b.has_pseudopotential ||
       a.species != b.species || a.ion_counts != b.ion_counts ||
       a.ion_positions.size() != b.ion_positions.size())

@@ -45,11 +45,6 @@ struct SystemSpec
   // ---- Jastrow / determinant parameters ----
   int jastrow_knots = 10; ///< knots per CubicBsplineFunctor
   int delay_rank = 1;     ///< default Woodbury delay rank (driver may raise)
-  /// Default compute precision as sizeof(TR) (4 = single, 8 = double);
-  /// 0 = unset, deferring to the engine variant. An explicit job-spec /
-  /// CLI precision always wins. Serialized as an optional "precision"
-  /// key only when set, so committed specs stay byte-identical.
-  int precision_bytes = 0;
   bool has_pseudopotential = false;
   // ---- geometry ----
   std::vector<IonSpecies> species;

@@ -96,9 +96,9 @@ TEST(Roofline, CountsScaleWithCalls)
   KernelTotals totals;
   totals.calls[static_cast<int>(Kernel::J2)] = 100;
   totals.seconds[static_cast<int>(Kernel::J2)] = 0.5;
-  auto k1 = build_roofline(totals, info, EngineVariant::Current);
+  auto k1 = build_roofline(totals, info, Precision::Single);
   totals.calls[static_cast<int>(Kernel::J2)] = 200;
-  auto k2 = build_roofline(totals, info, EngineVariant::Current);
+  auto k2 = build_roofline(totals, info, Precision::Single);
   const auto find = [](const std::vector<KernelRoofline>& v, Kernel k) {
     for (const auto& e : v)
       if (e.kernel == k)
@@ -114,8 +114,8 @@ TEST(Roofline, SinglePrecisionDoublesIntensity)
   KernelTotals totals;
   totals.calls[static_cast<int>(Kernel::DistTable)] = 10;
   totals.seconds[static_cast<int>(Kernel::DistTable)] = 0.1;
-  const auto dp = build_roofline(totals, info, EngineVariant::Ref);
-  const auto sp = build_roofline(totals, info, EngineVariant::Current);
+  const auto dp = build_roofline(totals, info, Precision::Double);
+  const auto sp = build_roofline(totals, info, Precision::Single);
   EXPECT_NEAR(sp[0].arithmetic_intensity() / dp[0].arithmetic_intensity(), 2.0, 1e-9);
 }
 

@@ -1,16 +1,16 @@
-// Precision-as-a-runtime-policy tests (paper Sec. 7.2): the inverse
-// drift guard must fire on an injected perturbation and repair it, stay
-// bitwise-silent on double chains, keep float and double energies in
-// agreement at engine level, and the {layout} x {precision} dispatch
-// must make a variant alias indistinguishable from its explicit-policy
-// equivalent. Also covers the "precision" job-spec / system-spec keys
-// and the DriverConfig drift-knob validation.
+// Precision-policy tests (paper Sec. 7.2): the inverse drift guard must
+// fire on an injected perturbation and repair it, stay bitwise-silent on
+// double chains, and keep float and double energies in agreement at
+// engine level. Also covers the edge where the legacy variant names and
+// the "precision" job key become an EngineVariant {layout, precision}
+// pair, and the DriverConfig drift-knob validation.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "drivers/qmc_driver_impl.h"
 #include "drivers/qmc_system.h"
@@ -257,33 +257,6 @@ TEST(PrecisionPolicy, DoubleChainsBitwiseNeutralUnderGuard)
       }
 }
 
-TEST(PrecisionPolicy, VariantAliasEqualsExplicitPolicy)
-{
-  // Orthogonal dispatch: a legacy alias and its {layout} + explicit
-  // precision spelling are the same engine, bit for bit.
-  struct Case
-  {
-    EngineVariant alias;    // the legacy 4-way name
-    EngineVariant layout;   // variant supplying only the layout half
-    Precision prec;         // explicit runtime policy
-  };
-  const Case cases[] = {
-      {EngineVariant::RefMP, EngineVariant::Ref, Precision::Single},
-      {EngineVariant::CurrentDP, EngineVariant::Current, Precision::Double},
-      {EngineVariant::Ref, EngineVariant::RefMP, Precision::Double},
-      {EngineVariant::Current, EngineVariant::CurrentDP, Precision::Single},
-  };
-  for (const Case& c : cases)
-  {
-    SCOPED_TRACE(::testing::Message() << "alias=" << to_string(c.alias));
-    const EngineReport aliased = run_engine(graphite_spec(c.alias, false, 1, 1));
-    EngineRunSpec overridden = graphite_spec(c.layout, false, 1, 1);
-    overridden.driver.precision.precision = c.prec;
-    const EngineReport explicit_run = run_engine(overridden);
-    expect_traces_bitwise(aliased.result, explicit_run.result);
-  }
-}
-
 TEST(PrecisionPolicy, FloatTracksDoubleWithGuardOnGraphite)
 {
   EngineRunSpec spec = graphite_spec(EngineVariant::Current, false, 1, 1);
@@ -311,7 +284,7 @@ TEST(PrecisionPolicy, FloatTracksDoubleWithGuardOnNiO32)
   spec.driver.seed = 20170708;
   spec.driver.num_threads = 1;
   const EngineReport single = run_engine(spec);
-  spec.driver.precision.precision = Precision::Double; // same layout, policy switch
+  spec.variant.precision = Precision::Double; // same layout, other word size
   const EngineReport dp = run_engine(spec);
   EXPECT_GT(single.result.total_drift_rows_sampled, 0u);
   EXPECT_NEAR(single.result.mean_energy, dp.result.mean_energy,
@@ -358,45 +331,65 @@ TEST(PrecisionSpec, JobSpecCarriesPolicy)
            "driver": { "steps": 4, "drift_tolerance": 1e-4,
                        "refresh_interval": 5, "drift_sample_rows": 3 } })",
       "test-job");
-  ASSERT_TRUE(job.run.driver.precision.precision.has_value());
-  EXPECT_EQ(*job.run.driver.precision.precision, Precision::Single);
+  EXPECT_EQ(job.run.variant.layout, EngineLayout::Aos);
+  EXPECT_EQ(job.run.variant.precision, Precision::Single);
   EXPECT_EQ(job.run.driver.precision.drift_tolerance, 1e-4);
   EXPECT_EQ(job.run.driver.precision.refresh_interval, 5);
   EXPECT_EQ(job.run.driver.precision.drift_sample_rows, 3);
 
-  // Without the key, the policy stays unset (variant alias decides).
+  // Without the key, the variant's own precision stands.
   const io::JobSpec plain =
-      io::parse_job_spec(R"({ "workload": "Graphite", "variant": "refmp" })", "plain");
-  EXPECT_FALSE(plain.run.driver.precision.precision.has_value());
+      io::parse_job_spec(R"({ "workload": "Graphite", "variant": "ref" })", "plain");
+  EXPECT_EQ(plain.run.variant.precision, Precision::Double);
 
   EXPECT_THROW((void)io::parse_job_spec(
                    R"({ "workload": "Graphite", "precision": "quad" })", "bad"),
                std::runtime_error);
 }
 
-TEST(PrecisionSpec, SystemSpecPrecisionKeyRoundTripsAndHashes)
+TEST(PrecisionSpec, VariantNamesMapToPairs)
 {
-  SystemSpec spec = load_spec(Workload::Graphite);
-  ASSERT_EQ(spec.precision_bytes, 0); // the committed paper specs leave it unset
-  const std::uint64_t unset_hash = spec_content_hash(spec);
-  const std::string unset_text = io::serialize_system_spec(spec);
-  // Committed pre-policy spec files must stay byte-identical: no key
-  // is emitted while the field is unset.
-  EXPECT_EQ(unset_text.find("\"precision\""), std::string::npos);
+  constexpr EngineVariant ref{EngineLayout::Aos, Precision::Double};
+  constexpr EngineVariant refmp{EngineLayout::Aos, Precision::Single};
+  constexpr EngineVariant current{EngineLayout::Soa, Precision::Single};
+  constexpr EngineVariant currentdp{EngineLayout::Soa, Precision::Double};
+  const std::pair<const char*, EngineVariant> cases[] = {
+      {"ref", ref},         {"Ref", ref},
+      {"refmp", refmp},     {"ref+mp", refmp},         {"Ref+MP", refmp},
+      {"current", current}, {"CURRENT", current},
+      {"currentdp", currentdp}, {"CurrentDP", currentdp}, {"current(dp)", currentdp},
+      {"Current(DP)", currentdp},
+  };
+  for (const auto& [name, pair] : cases)
+    EXPECT_EQ(io::variant_from_name(name), pair) << name;
+  EXPECT_EQ(EngineVariant::Ref, ref);
+  EXPECT_EQ(EngineVariant::RefMP, refmp);
+  EXPECT_EQ(EngineVariant::Current, current);
+  EXPECT_EQ(EngineVariant::CurrentDP, currentdp);
+  EXPECT_THROW((void)io::variant_from_name("bogus"), std::runtime_error);
+}
 
-  spec.precision_bytes = 4;
-  const std::string text = io::serialize_system_spec(spec);
-  EXPECT_NE(text.find("\"precision\": \"single\""), std::string::npos);
-  const SystemSpec round = io::parse_system_spec(text, "round-trip");
-  EXPECT_TRUE(round == spec);
-  EXPECT_EQ(round.precision_bytes, 4);
-  // A set precision is part of the content identity.
-  EXPECT_NE(spec_content_hash(spec), unset_hash);
+TEST(PrecisionSpec, PrecisionKeyOverridesVariantInEitherOrder)
+{
+  const io::JobSpec variant_first = io::parse_job_spec(
+      R"({ "variant": "currentdp", "precision": "single" })", "variant-first");
+  const io::JobSpec precision_first = io::parse_job_spec(
+      R"({ "precision": "single", "variant": "currentdp" })", "precision-first");
+  EXPECT_EQ(variant_first.run.variant, EngineVariant::Current);
+  EXPECT_EQ(precision_first.run.variant, EngineVariant::Current);
+  // A "precision" alone applies to the default (Current) layout.
+  EXPECT_EQ(io::parse_job_spec(R"({ "precision": "double" })", "alone").run.variant,
+            EngineVariant::CurrentDP);
+}
 
-  spec.precision_bytes = 8;
-  const SystemSpec dbl =
-      io::parse_system_spec(io::serialize_system_spec(spec), "round-trip-double");
-  EXPECT_EQ(dbl.precision_bytes, 8);
+TEST(PrecisionSpec, VariantLabelsPinFingerprintNames)
+{
+  // Snapshot fingerprints hash these labels: changing one orphans every
+  // checkpoint written under it.
+  EXPECT_STREQ(to_string(EngineVariant{EngineLayout::Aos, Precision::Double}), "Ref");
+  EXPECT_STREQ(to_string(EngineVariant{EngineLayout::Aos, Precision::Single}), "Ref+MP");
+  EXPECT_STREQ(to_string(EngineVariant{EngineLayout::Soa, Precision::Single}), "Current");
+  EXPECT_STREQ(to_string(EngineVariant{EngineLayout::Soa, Precision::Double}), "Current(DP)");
 }
 
 TEST(PrecisionSpec, ValidateConfigRejectsBadDriftKnobs)

@@ -367,8 +367,8 @@ TEST(SnapshotCompat, RejectsEachMismatchWithNamedError)
 TEST(SnapshotCompat, PrecisionMismatchNamesBothPrecisions)
 {
   // The restore error must say which precision wrote the snapshot AND
-  // which one this engine computes in, so the fix (the "precision"
-  // policy / variant alias) is actionable from the message alone.
+  // which one this engine computes in, so the fix (the "variant" or
+  // "precision" job key) is actionable from the message alone.
   const io::PopulationSnapshot snap = synthetic_snapshot(); // written by a double engine
   io::SnapshotExpectation e;
   e.precision_bytes = 4;
@@ -685,6 +685,39 @@ TEST(EngineResume, RejectsWorkloadFingerprintMismatch)
   other.spec_path = io::workload_spec_path(Workload::Graphite);
   other.driver.delay_rank = 2;
   EXPECT_THROW((void)run_engine(other), std::runtime_error);
+  std::filesystem::remove(path);
+}
+
+TEST(EngineResume, RejectsPrecisionMismatch)
+{
+  // The restore check is the only precision guard on resume: a double
+  // snapshot resumed by a single-precision engine must fail naming both.
+  const std::string path = tmp_path("qmcxx_precision_mismatch.snap");
+  EngineRunSpec spec;
+  spec.spec_path = io::workload_spec_path(Workload::Graphite);
+  spec.variant = EngineVariant::CurrentDP;
+  spec.dmc = false;
+  spec.driver = test_config(2, 2);
+  spec.driver.checkpoint_every = 2;
+  spec.driver.checkpoint_path = path;
+  (void)run_engine(spec);
+
+  EngineRunSpec resume = spec;
+  resume.variant = EngineVariant::Current;
+  resume.driver.checkpoint_every = 0;
+  resume.driver.checkpoint_path.clear();
+  resume.resume_path = path;
+  try
+  {
+    (void)run_engine(resume);
+    FAIL() << "expected a precision-mismatch rejection";
+  }
+  catch (const std::runtime_error& e)
+  {
+    const std::string msg = e.what();
+    for (const char* needle : {"precision", "double", "single"})
+      EXPECT_NE(msg.find(needle), std::string::npos) << needle << " missing from: " << msg;
+  }
   std::filesystem::remove(path);
 }
 

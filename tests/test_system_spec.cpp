@@ -182,6 +182,10 @@ TEST(SpecParser, TinySpecParsesAndBuilds)
 TEST(SpecParser, RejectsUnknownKey)
 {
   expect_parse_fails(tiny_spec_with("\"delay_rank\"", "\"bogus_knob\""), "unknown key");
+  // A system carries no compute precision; the engine variant does.
+  expect_parse_fails(
+      tiny_spec_with("\"delay_rank\": 1,", "\"delay_rank\": 1, \"precision\": \"single\","),
+      "unknown key 'precision'");
 }
 
 TEST(SpecParser, RejectsWrongSchema)

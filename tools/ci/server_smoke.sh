@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# qmc_server end-to-end smoke test: queue three jobs (one running the
-# single-precision policy on a double variant alias), SIGTERM the
-# server mid-run, resume, and require (a) clean retirement of all jobs
-# and (b) streamed "generation" records identical to an uninterrupted
-# reference run -- the serving-path form of the exact-resume guarantee.
-# A fourth reference job, spooled as a"b.json, requires (c) that every
-# streamed record is valid JSON even when the job name needs escaping.
+# qmc_server end-to-end smoke test: queue three jobs (one whose
+# "precision": "single" replaces a double variant's precision), SIGTERM
+# the server mid-run, resume, and require (a) clean retirement of all
+# jobs and (b) streamed "generation" records identical to an
+# uninterrupted reference run -- the serving-path form of the
+# exact-resume guarantee. A fourth reference job, spooled as a"b.json,
+# requires (c) that every streamed record is valid JSON even when the
+# job name needs escaping. (d) A stdin job line longer than 64 KiB must
+# run as one job.
 #
 #   usage: tools/ci/server_smoke.sh BUILD_DIR
 set -euo pipefail
@@ -25,9 +27,9 @@ mkdir -p "$SPOOL" "$REF"
 # the named-observable stream (per-component energies, g(r)/S(k) bins)
 # crosses the interrupt and must survive resume bitwise. Job 2: a short
 # DMC chain, so branching state crosses the interrupt too. Job 3 drives
-# the mixed-precision policy through the serving path: an explicit
-# "precision": "single" on a double-precision variant alias, with the
-# drift guard's knobs set, must run and stream drift telemetry.
+# mixed precision through the serving path: "precision": "single" on
+# the double-precision "currentdp" variant, with the drift guard's knobs
+# set, must run and stream drift telemetry.
 JOB1='{ "workload": "Graphite", "variant": "current", "dmc": false, "estimators": true,
   "driver": { "steps": 12, "num_walkers": 3, "seed": 2017, "num_threads": 1,
               "crowd_size": 4, "checkpoint_every": 1 } }'
@@ -61,6 +63,15 @@ python3 -c 'import json,sys; [json.loads(l) for l in sys.stdin]' < "$REF/$QUOTED
 python3 -c 'import json,sys; assert all(json.loads(l)["job"] == sys.argv[1] for l in sys.stdin)' \
   "$QUOTED" < "$REF/$QUOTED.json.stream" \
   || { echo "server_smoke: $QUOTED.json.stream does not name its job" >&2; exit 1; }
+
+echo "server_smoke: stdin job longer than 64 KiB"
+printf '{%70000s"workload": "Graphite", "driver": { "steps": 1, "num_walkers": 1, "num_threads": 1 } }\n' '' \
+  | "$SERVER" --stdin > "$WORK/stdin.jsonl"
+python3 -c '
+import json, sys
+done = [r["job"] for r in map(json.loads, sys.stdin) if r["type"] == "job-complete"]
+assert done == ["stdin-0"], done' < "$WORK/stdin.jsonl" \
+  || { echo "server_smoke: a 70 KB stdin job did not run as exactly one job, stdin-0" >&2; exit 1; }
 
 echo "server_smoke: interrupted run"
 "$SERVER" --spool "$SPOOL" &
