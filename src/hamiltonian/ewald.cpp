@@ -1,58 +1,9 @@
 #include "hamiltonian/ewald.h"
 
 #include <cmath>
-#include <complex>
 
 namespace qmcxx
 {
-namespace
-{
-
-/// Per-particle tables of e^{i n (b_j . r)} for n in [-m_j, m_j], one
-/// axis at a time. Because every k-vector is an integer combination of
-/// the reciprocal rows, the structure factor for any k is a product of
-/// three table entries -- no trig calls in the k loop.
-struct PhaseTables
-{
-  // tab[axis][particle * (2*m+1) + (n + m)]
-  int m[3];
-  std::vector<std::complex<double>> tab[3];
-
-  template<typename Positions>
-  void build(const std::array<TinyVector<double, 3>, 3>& b, const int mm[3], const Positions& r)
-  {
-    const std::size_t n = r.size();
-    for (int axis = 0; axis < 3; ++axis)
-    {
-      m[axis] = mm[axis];
-      const int width = 2 * mm[axis] + 1;
-      tab[axis].resize(n * width);
-      for (std::size_t i = 0; i < n; ++i)
-      {
-        const double phase = dot(b[axis], r[i]);
-        const std::complex<double> step(std::cos(phase), std::sin(phase));
-        std::complex<double> cur(1.0, 0.0);
-        std::complex<double>* row = tab[axis].data() + i * width;
-        row[mm[axis]] = cur;
-        for (int p = 1; p <= mm[axis]; ++p)
-        {
-          cur *= step;
-          row[mm[axis] + p] = cur;
-          row[mm[axis] - p] = std::conj(cur);
-        }
-      }
-    }
-  }
-
-  std::complex<double> phase(std::size_t i, int n0, int n1, int n2) const
-  {
-    const int w0 = 2 * m[0] + 1, w1 = 2 * m[1] + 1, w2 = 2 * m[2] + 1;
-    return tab[0][i * w0 + (n0 + m[0])] * tab[1][i * w1 + (n1 + m[1])] *
-        tab[2][i * w2 + (n2 + m[2])];
-  }
-};
-
-} // namespace
 
 EwaldSum::EwaldSum(const Lattice& lattice, double tolerance) : lattice_(lattice)
 {
@@ -68,12 +19,15 @@ EwaldSum::EwaldSum(const Lattice& lattice, double tolerance) : lattice_(lattice)
   mmax_[0] = static_cast<int>(std::ceil(kmax / norm(b[0])));
   mmax_[1] = static_cast<int>(std::ceil(kmax / norm(b[1])));
   mmax_[2] = static_cast<int>(std::ceil(kmax / norm(b[2])));
+  // Half space: n0 > 0, or n0 == 0 and n1 > 0, or n0 == n1 == 0 and
+  // n2 > 0. The (n0, n1) order keeps each run of n2 contiguous for the
+  // reduction in structure_factor().
   const double two_pi_over_v = 2.0 * M_PI / lattice.volume();
-  for (int n0 = -mmax_[0]; n0 <= mmax_[0]; ++n0)
+  for (int n0 = 0; n0 <= mmax_[0]; ++n0)
     for (int n1 = -mmax_[1]; n1 <= mmax_[1]; ++n1)
       for (int n2 = -mmax_[2]; n2 <= mmax_[2]; ++n2)
       {
-        if (n0 == 0 && n1 == 0 && n2 == 0)
+        if (n0 == 0 && (n1 < 0 || (n1 == 0 && n2 <= 0)))
           continue;
         const Pos k = static_cast<double>(n0) * b[0] + static_cast<double>(n1) * b[1] +
             static_cast<double>(n2) * b[2];
@@ -81,55 +35,25 @@ EwaldSum::EwaldSum(const Lattice& lattice, double tolerance) : lattice_(lattice)
         if (k2 > kmax * kmax)
           continue;
         kindex_.push_back({n0, n1, n2});
-        kfac_.push_back(two_pi_over_v * std::exp(-k2 / (4.0 * alpha_ * alpha_)) / k2);
+        kfac_.push_back(2.0 * two_pi_over_v * std::exp(-k2 / (4.0 * alpha_ * alpha_)) / k2);
       }
-}
-
-double EwaldSum::real_space_pair(const Pos& a, const Pos& b) const
-{
-  const double r = norm(lattice_.min_image(b - a));
-  if (r >= rcut_)
-    return 0.0;
-  return std::erfc(alpha_ * r) / r;
 }
 
 double EwaldSum::energy(const std::vector<Pos>& r, const std::vector<double>& q) const
 {
   const std::size_t n = r.size();
+  std::vector<double> x(n), y(n), z(n);
   double e_real = 0.0;
   for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i + 1; j < n; ++j)
-      e_real += q[i] * q[j] * real_space_pair(r[i], r[j]);
-  return e_real + kspace_energy(r, q) + self_background(q);
-}
-
-template<typename Positions>
-static double kspace_energy_impl(const Lattice& lattice, const int mmax[3],
-                                 const std::vector<std::array<int, 3>>& kindex,
-                                 const std::vector<double>& kfac, const Positions& r,
-                                 const std::vector<double>& q)
-{
-  PhaseTables tables;
-  tables.build(lattice.reciprocal_rows(), mmax, r);
-  double e_recip = 0.0;
-  for (std::size_t kk = 0; kk < kindex.size(); ++kk)
   {
-    std::complex<double> rho(0.0, 0.0);
-    for (std::size_t i = 0; i < r.size(); ++i)
-      rho += q[i] * tables.phase(i, kindex[kk][0], kindex[kk][1], kindex[kk][2]);
-    e_recip += kfac[kk] * std::norm(rho);
+    x[i] = r[i][0];
+    y[i] = r[i][1];
+    z[i] = r[i][2];
+    for (std::size_t j = i + 1; j < n; ++j)
+      e_real += q[i] * q[j] * real_space_term(norm(lattice_.min_image(r[j] - r[i])));
   }
-  return e_recip;
-}
-
-double EwaldSum::kspace_energy(const std::vector<Pos>& r, const std::vector<double>& q) const
-{
-  return kspace_energy_impl(lattice_, mmax_, kindex_, kfac_, r, q);
-}
-
-double EwaldSum::kspace_energy(const SoaPosView& r, const std::vector<double>& q) const
-{
-  return kspace_energy_impl(lattice_, mmax_, kindex_, kfac_, r, q);
+  const auto rho = structure_factor(x.data(), y.data(), z.data(), q.data(), static_cast<int>(n));
+  return e_real + kspace_energy(rho) + self_background(q);
 }
 
 double EwaldSum::self_background(const std::vector<double>& q) const
@@ -146,113 +70,130 @@ double EwaldSum::self_background(const std::vector<double>& q) const
   return -e_self + e_background;
 }
 
-EwaldSum::FixedSetFactors EwaldSum::precompute_fixed_set(const std::vector<Pos>& rb,
-                                                         const std::vector<double>& qb) const
+template<typename T>
+EwaldSum::StructureFactor EwaldSum::structure_factor(const T* x, const T* y, const T* z,
+                                                     const double* q, int n) const
 {
-  FixedSetFactors out;
-  out.positions = rb;
-  out.charges = qb;
-  for (double q : qb)
-    out.q_sum += q;
-  PhaseTables tb;
-  tb.build(lattice_.reciprocal_rows(), mmax_, rb);
-  out.rho_re.resize(kindex_.size());
-  out.rho_im.resize(kindex_.size());
-  for (std::size_t kk = 0; kk < kindex_.size(); ++kk)
+  // Per-call phase rows: row (a, p) holds e^{i p b_a.r_i} for every
+  // particle i, at offset (p + m_a) n of re[a]/im[a], p in [-m_a, m_a].
+  // Rows p > 1 come from the recurrence e^{i p t} = e^{i (p-1) t} e^{i t};
+  // the cutoff makes every m_a >= 1.
+  const auto& b = lattice_.reciprocal_rows();
+  std::vector<double> re[3], im[3];
+  for (int a = 0; a < 3; ++a)
   {
-    std::complex<double> rho(0.0, 0.0);
-    for (std::size_t j = 0; j < rb.size(); ++j)
-      rho += qb[j] * tb.phase(j, kindex_[kk][0], kindex_[kk][1], kindex_[kk][2]);
-    out.rho_re[kk] = rho.real();
-    out.rho_im[kk] = rho.imag();
+    const int m = mmax_[a];
+    re[a].assign(static_cast<std::size_t>(2 * m + 1) * n, 0.0);
+    im[a].assign(static_cast<std::size_t>(2 * m + 1) * n, 0.0);
+    double* __restrict r0 = re[a].data() + static_cast<std::size_t>(m) * n;
+    double* __restrict i0 = im[a].data() + static_cast<std::size_t>(m) * n;
+    for (int i = 0; i < n; ++i)
+    {
+      const double t = b[a][0] * static_cast<double>(x[i]) +
+          b[a][1] * static_cast<double>(y[i]) + b[a][2] * static_cast<double>(z[i]);
+      r0[i] = 1.0;
+      r0[n + i] = std::cos(t);
+      i0[n + i] = std::sin(t);
+    }
+    for (int p = 2; p <= m; ++p)
+    {
+      const double* __restrict r1 = r0 + n;
+      const double* __restrict i1 = i0 + n;
+      const double* __restrict rq = r0 + static_cast<std::size_t>(p - 1) * n;
+      const double* __restrict iq = i0 + static_cast<std::size_t>(p - 1) * n;
+      double* __restrict rp = r0 + static_cast<std::size_t>(p) * n;
+      double* __restrict ip = i0 + static_cast<std::size_t>(p) * n;
+#pragma omp simd
+      for (int i = 0; i < n; ++i)
+      {
+        rp[i] = rq[i] * r1[i] - iq[i] * i1[i];
+        ip[i] = rq[i] * i1[i] + iq[i] * r1[i];
+      }
+    }
+    // e^{-i p t} = conj(e^{i p t})
+    for (int p = 1; p <= m; ++p)
+    {
+      const double* __restrict rp = r0 + static_cast<std::size_t>(p) * n;
+      const double* __restrict ip = i0 + static_cast<std::size_t>(p) * n;
+      double* __restrict rn = r0 - static_cast<std::size_t>(p) * n;
+      double* __restrict in = i0 - static_cast<std::size_t>(p) * n;
+#pragma omp simd
+      for (int i = 0; i < n; ++i)
+      {
+        rn[i] = rp[i];
+        in[i] = -ip[i];
+      }
+    }
   }
-  return out;
+  const auto row = [&](int a, int p) {
+    return static_cast<std::size_t>(p + mmax_[a]) * n;
+  };
+
+  StructureFactor rho;
+  for (int i = 0; i < n; ++i)
+    rho.q_sum += q[i];
+  const std::size_t nk = kindex_.size();
+  rho.re.resize(nk);
+  rho.im.resize(nk);
+  // q_i e^{i (n0 b_0 + n1 b_1).r_i}, rebuilt once per (n0, n1) run.
+  std::vector<double> q01_re(n), q01_im(n);
+  for (std::size_t k = 0; k < nk; ++k)
+  {
+    const auto [n0, n1, n2] = kindex_[k];
+    if (k == 0 || n0 != kindex_[k - 1][0] || n1 != kindex_[k - 1][1])
+    {
+      const double* __restrict ra = re[0].data() + row(0, n0);
+      const double* __restrict ia = im[0].data() + row(0, n0);
+      const double* __restrict rb = re[1].data() + row(1, n1);
+      const double* __restrict ib = im[1].data() + row(1, n1);
+      double* __restrict qr = q01_re.data();
+      double* __restrict qi = q01_im.data();
+#pragma omp simd
+      for (int i = 0; i < n; ++i)
+      {
+        qr[i] = q[i] * (ra[i] * rb[i] - ia[i] * ib[i]);
+        qi[i] = q[i] * (ra[i] * ib[i] + ia[i] * rb[i]);
+      }
+    }
+    const double* __restrict qr = q01_re.data();
+    const double* __restrict qi = q01_im.data();
+    const double* __restrict rc = re[2].data() + row(2, n2);
+    const double* __restrict ic = im[2].data() + row(2, n2);
+    double sr = 0.0, si = 0.0;
+#pragma omp simd reduction(+ : sr, si)
+    for (int i = 0; i < n; ++i)
+    {
+      sr += qr[i] * rc[i] - qi[i] * ic[i];
+      si += qr[i] * ic[i] + qi[i] * rc[i];
+    }
+    rho.re[k] = sr;
+    rho.im[k] = si;
+  }
+  return rho;
 }
 
-double EwaldSum::interaction_energy_cached(const std::vector<Pos>& ra,
-                                           const std::vector<double>& qa,
-                                           const FixedSetFactors& fixed) const
+template EwaldSum::StructureFactor EwaldSum::structure_factor(const float*, const float*,
+                                                              const float*, const double*,
+                                                              int) const;
+template EwaldSum::StructureFactor EwaldSum::structure_factor(const double*, const double*,
+                                                              const double*, const double*,
+                                                              int) const;
+
+double EwaldSum::kspace_energy(const StructureFactor& rho) const
 {
-  double e_real = 0.0;
-  for (std::size_t i = 0; i < ra.size(); ++i)
-    for (std::size_t j = 0; j < fixed.positions.size(); ++j)
-      e_real += qa[i] * fixed.charges[j] * real_space_pair(ra[i], fixed.positions[j]);
-  return e_real + interaction_kspace_cached(ra, qa, fixed);
+  double e = 0.0;
+  for (std::size_t k = 0; k < kfac_.size(); ++k)
+    e += kfac_[k] * (rho.re[k] * rho.re[k] + rho.im[k] * rho.im[k]);
+  return e;
 }
 
-template<typename Positions>
-static double interaction_kspace_cached_impl(const Lattice& lattice, double alpha,
-                                             const int mmax[3],
-                                             const std::vector<std::array<int, 3>>& kindex,
-                                             const std::vector<double>& kfac,
-                                             const Positions& ra, const std::vector<double>& qa,
-                                             const EwaldSum::FixedSetFactors& fixed)
+double EwaldSum::interaction_kspace(const StructureFactor& a, const StructureFactor& b) const
 {
-  PhaseTables ta;
-  ta.build(lattice.reciprocal_rows(), mmax, ra);
   double e_recip = 0.0;
-  for (std::size_t kk = 0; kk < kindex.size(); ++kk)
-  {
-    std::complex<double> rho_a(0.0, 0.0);
-    for (std::size_t i = 0; i < ra.size(); ++i)
-      rho_a += qa[i] * ta.phase(i, kindex[kk][0], kindex[kk][1], kindex[kk][2]);
-    e_recip += kfac[kk] * 2.0 *
-        (rho_a.real() * fixed.rho_re[kk] + rho_a.imag() * fixed.rho_im[kk]);
-  }
-
-  double qa_sum = 0.0;
-  for (double qi : qa)
-    qa_sum += qi;
-  const double e_background =
-      -M_PI / (lattice.volume() * alpha * alpha) * qa_sum * fixed.q_sum;
+  for (std::size_t k = 0; k < kfac_.size(); ++k)
+    e_recip += 2.0 * kfac_[k] * (a.re[k] * b.re[k] + a.im[k] * b.im[k]);
+  const double e_background = -M_PI / (lattice_.volume() * alpha_ * alpha_) * a.q_sum * b.q_sum;
   return e_recip + e_background;
-}
-
-double EwaldSum::interaction_kspace_cached(const std::vector<Pos>& ra,
-                                           const std::vector<double>& qa,
-                                           const FixedSetFactors& fixed) const
-{
-  return interaction_kspace_cached_impl(lattice_, alpha_, mmax_, kindex_, kfac_, ra, qa, fixed);
-}
-
-double EwaldSum::interaction_kspace_cached(const SoaPosView& ra, const std::vector<double>& qa,
-                                           const FixedSetFactors& fixed) const
-{
-  return interaction_kspace_cached_impl(lattice_, alpha_, mmax_, kindex_, kfac_, ra, qa, fixed);
-}
-
-double EwaldSum::interaction_energy(const std::vector<Pos>& ra, const std::vector<double>& qa,
-                                    const std::vector<Pos>& rb,
-                                    const std::vector<double>& qb) const
-{
-  double e_real = 0.0;
-  for (std::size_t i = 0; i < ra.size(); ++i)
-    for (std::size_t j = 0; j < rb.size(); ++j)
-      e_real += qa[i] * qb[j] * real_space_pair(ra[i], rb[j]);
-
-  PhaseTables ta, tb;
-  ta.build(lattice_.reciprocal_rows(), mmax_, ra);
-  tb.build(lattice_.reciprocal_rows(), mmax_, rb);
-  double e_recip = 0.0;
-  for (std::size_t kk = 0; kk < kindex_.size(); ++kk)
-  {
-    std::complex<double> rho_a(0.0, 0.0), rho_b(0.0, 0.0);
-    for (std::size_t i = 0; i < ra.size(); ++i)
-      rho_a += qa[i] * ta.phase(i, kindex_[kk][0], kindex_[kk][1], kindex_[kk][2]);
-    for (std::size_t j = 0; j < rb.size(); ++j)
-      rho_b += qb[j] * tb.phase(j, kindex_[kk][0], kindex_[kk][1], kindex_[kk][2]);
-    e_recip += kfac_[kk] * 2.0 *
-        (rho_a.real() * rho_b.real() + rho_a.imag() * rho_b.imag());
-  }
-
-  double qa_sum = 0.0, qb_sum = 0.0;
-  for (double qi : qa)
-    qa_sum += qi;
-  for (double qj : qb)
-    qb_sum += qj;
-  const double e_background =
-      -M_PI / (lattice_.volume() * alpha_ * alpha_) * qa_sum * qb_sum;
-  return e_real + e_recip + e_background;
 }
 
 } // namespace qmcxx

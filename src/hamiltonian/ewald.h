@@ -5,6 +5,13 @@
 // conditions; Ewald splits them into a short-range real-space part
 // (erfc-screened, minimum image) and a smooth reciprocal-space part,
 // plus self-interaction and neutralizing-background corrections.
+//
+// The reciprocal-space part runs over a half-space k list: for real
+// charges rho(-k) = conj(rho(k)), so each +/-k pair enters once with a
+// doubled prefactor. rho(k) = sum_i q_i exp(i k.r_i) is reduced from
+// per-axis phase rows e^{i p b_a.r_i} stored SoA (re and im rows,
+// contiguous in the particle index), so the particle loop is a
+// unit-stride SIMD reduction with no trig call per k-vector.
 #ifndef QMCXX_HAMILTONIAN_EWALD_H
 #define QMCXX_HAMILTONIAN_EWALD_H
 
@@ -18,48 +25,18 @@
 namespace qmcxx
 {
 
-/// Read-only view of a position set stored as three SoA component rows
-/// (ParticleSet<TR>::Rsoa()). Components are widened to double per
-/// element exactly like ParticleSet::pos(), so feeding a view into the
-/// k-space sums is bitwise-identical to feeding the scatter-on-demand
-/// positions() copy -- without materializing that O(N) AoS vector on
-/// the per-energy-eval hot path (PR 3 layout contract).
-class SoaPosView
-{
-public:
-  using Pos = TinyVector<double, 3>;
-
-  SoaPosView(const double* xs, const double* ys, const double* zs, std::size_t n)
-      : dx_(xs), dy_(ys), dz_(zs), n_(n)
-  {}
-  SoaPosView(const float* xs, const float* ys, const float* zs, std::size_t n)
-      : fx_(xs), fy_(ys), fz_(zs), n_(n)
-  {}
-
-  [[nodiscard]] std::size_t size() const { return n_; }
-
-  Pos operator[](std::size_t i) const
-  {
-    if (dx_ != nullptr)
-      return Pos{dx_[i], dy_[i], dz_[i]};
-    return Pos{static_cast<double>(fx_[i]), static_cast<double>(fy_[i]),
-               static_cast<double>(fz_[i])};
-  }
-
-private:
-  const double* dx_ = nullptr;
-  const double* dy_ = nullptr;
-  const double* dz_ = nullptr;
-  const float* fx_ = nullptr;
-  const float* fy_ = nullptr;
-  const float* fz_ = nullptr;
-  std::size_t n_ = 0;
-};
-
 class EwaldSum
 {
 public:
   using Pos = TinyVector<double, 3>;
+
+  /// Structure factor of one charge set on the half-space k list:
+  /// rho(k) = sum_i q_i exp(i k . r_i), plus the total charge.
+  struct StructureFactor
+  {
+    std::vector<double> re, im;
+    double q_sum = 0.0;
+  };
 
   /// tolerance controls the truncation of both sums; the real-space
   /// cutoff is the Wigner-Seitz radius so that only the nearest image
@@ -68,6 +45,7 @@ public:
 
   double alpha() const { return alpha_; }
   double rcut() const { return rcut_; }
+  /// k-vectors in the half-space list; each stands for +k and -k.
   int num_kvectors() const { return static_cast<int>(kindex_.size()); }
 
   /// Total Coulomb energy of charges q at positions r (same length).
@@ -83,59 +61,31 @@ public:
     return r < rcut_ ? std::erfc(alpha_ * r) / r : 0.0;
   }
 
-  /// Reciprocal-space part of energy() alone.
-  double kspace_energy(const std::vector<Pos>& r, const std::vector<double>& q) const;
-
-  /// SoA-view overload of kspace_energy: same sum, no AoS scatter.
-  double kspace_energy(const SoaPosView& r, const std::vector<double>& q) const;
-
   /// Self-interaction and neutralizing-background corrections of
   /// energy() (positions-independent): -e_self + e_background.
   double self_background(const std::vector<double>& q) const;
 
-  /// Cross-term energy between two charge sets (used for the
-  /// electron-ion interaction): E = sum_{i in A, j in B} q_i q_j v(r_ij)
-  /// with the same Ewald decomposition.
-  double interaction_energy(const std::vector<Pos>& ra, const std::vector<double>& qa,
-                            const std::vector<Pos>& rb, const std::vector<double>& qb) const;
+  /// rho(k) of n charges q at the SoA coordinate rows x, y, z (the
+  /// compute-precision rows of ParticleSet::Rsoa(), widened to double).
+  template<typename T>
+  StructureFactor structure_factor(const T* x, const T* y, const T* z, const double* q,
+                                   int n) const;
 
-  /// Precomputed k-space structure factor of a *fixed* charge set (the
-  /// ions): rho_b[k] = sum_j q_j exp(i k . r_j), plus the total charge.
-  struct FixedSetFactors
-  {
-    std::vector<double> rho_re, rho_im;
-    double q_sum = 0.0;
-    std::vector<Pos> positions;
-    std::vector<double> charges;
-  };
-  FixedSetFactors precompute_fixed_set(const std::vector<Pos>& rb,
-                                       const std::vector<double>& qb) const;
+  /// Reciprocal-space energy of one charge set: sum_k kfac |rho(k)|^2.
+  double kspace_energy(const StructureFactor& rho) const;
 
-  /// interaction_energy with the B-set structure factor cached; only the
-  /// A-set (electron) phases are rebuilt per call.
-  double interaction_energy_cached(const std::vector<Pos>& ra, const std::vector<double>& qa,
-                                   const FixedSetFactors& fixed) const;
-
-  /// Reciprocal + background cross terms of interaction_energy_cached
-  /// alone; callers supply the real-space pair sum from distance-table
-  /// rows via real_space_term().
-  double interaction_kspace_cached(const std::vector<Pos>& ra, const std::vector<double>& qa,
-                                   const FixedSetFactors& fixed) const;
-
-  /// SoA-view overload of interaction_kspace_cached: same sum, no AoS
-  /// scatter of the per-call (electron) set.
-  double interaction_kspace_cached(const SoaPosView& ra, const std::vector<double>& qa,
-                                   const FixedSetFactors& fixed) const;
+  /// Reciprocal-space and background cross energy of two charge sets
+  /// (the electron-ion term): sum_k 2 kfac Re(rho_a rho_b*) minus the
+  /// cross background; the real-space pair sum is the caller's.
+  double interaction_kspace(const StructureFactor& a, const StructureFactor& b) const;
 
 private:
-  double real_space_pair(const Pos& a, const Pos& b) const;
-
   Lattice lattice_;
   double alpha_ = 1.0;
   double rcut_ = 1.0;
   int mmax_[3] = {0, 0, 0};                 ///< per-axis integer k range
-  std::vector<std::array<int, 3>> kindex_;  ///< integer k-vector indices
-  std::vector<double> kfac_; ///< 2 pi/V * exp(-k^2/4a^2)/k^2 per k-vector
+  std::vector<std::array<int, 3>> kindex_;  ///< half-space integer k indices
+  std::vector<double> kfac_; ///< 2 x 2 pi/V * exp(-k^2/4a^2)/k^2 per k
 };
 
 } // namespace qmcxx

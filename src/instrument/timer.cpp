@@ -15,6 +15,7 @@ const char* kernel_name(Kernel k)
   case Kernel::SPOvgl: return "SPO-vgl";
   case Kernel::DetRatio: return "DetRatio";
   case Kernel::DetUpdate: return "DetUpdate";
+  case Kernel::Coulomb: return "Coulomb";
   case Kernel::Other: return "Other";
   default: return "?";
   }

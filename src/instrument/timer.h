@@ -2,8 +2,9 @@
 //
 // The paper's analysis (Fig. 2, Fig. 7) decomposes runtime into the
 // kernels DistTable, J1, J2, Bspline-v, Bspline-vgh, SPO-vgl, DetUpdate
-// and Other. qmcxx instruments exactly those buckets with low-overhead
-// scoped timers. Accumulation is strictly thread-local (no shared
+// and Other. qmcxx instruments those buckets with low-overhead scoped
+// timers, plus a Coulomb bucket for the Ewald terms (CoulombEE/EI), which
+// would otherwise dominate Other. Accumulation is strictly thread-local (no shared
 // counters on the hot path, so crowd threads can never tear
 // seconds[]/calls[]); each thread publishes its totals into the global
 // merge only at explicit flush points -- the crowd runner flushes every
@@ -31,6 +32,7 @@ enum class Kernel : int
   SPOvgl,
   DetRatio,
   DetUpdate,
+  Coulomb,
   Other,
   kCount
 };

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
 
 #include "hamiltonian/coulomb.h"
 #include "hamiltonian/ewald.h"
@@ -82,32 +83,144 @@ TEST(Ewald, TranslationInvariance)
   EXPECT_NEAR(ewald.energy(r, q), e0, 1e-8 * std::abs(e0) + 1e-9);
 }
 
-TEST(Ewald, InteractionDecomposition)
+namespace
 {
-  // E(A u B) = E(A) + E(B) + E_int(A,B).
-  const Lattice lat = Lattice::cubic(5.0);
-  RandomGenerator rng(17);
-  std::vector<Pos> ra, rb, rall;
-  std::vector<double> qa, qb, qall;
-  for (int i = 0; i < 6; ++i)
+
+/// Full-sphere reference for the k-space sums, one std::polar per
+/// (k, particle): rho(k) = sum_i q_i exp(i k.r_i) over every k of the
+/// EwaldSum cutoff sphere at the default tolerance.
+struct DirectKSpace
+{
+  std::vector<Pos> k;
+  std::vector<double> kfac;
+
+  DirectKSpace(const Lattice& lat, double alpha)
   {
-    ra.push_back(Pos{rng.uniform(0, 5), rng.uniform(0, 5), rng.uniform(0, 5)});
-    qa.push_back(-1.0);
+    const double log_tol = -std::log(1e-5);
+    const double kmax = 2.0 * alpha * std::sqrt(log_tol);
+    const auto& b = lat.reciprocal_rows();
+    int m[3];
+    for (int a = 0; a < 3; ++a)
+      m[a] = static_cast<int>(std::ceil(kmax / norm(b[a])));
+    for (int n0 = -m[0]; n0 <= m[0]; ++n0)
+      for (int n1 = -m[1]; n1 <= m[1]; ++n1)
+        for (int n2 = -m[2]; n2 <= m[2]; ++n2)
+        {
+          const Pos kv = static_cast<double>(n0) * b[0] + static_cast<double>(n1) * b[1] +
+              static_cast<double>(n2) * b[2];
+          const double k2 = norm2(kv);
+          if ((n0 == 0 && n1 == 0 && n2 == 0) || k2 > kmax * kmax)
+            continue;
+          k.push_back(kv);
+          kfac.push_back(2.0 * M_PI / lat.volume() * std::exp(-k2 / (4.0 * alpha * alpha)) / k2);
+        }
   }
-  for (int i = 0; i < 3; ++i)
+
+  std::complex<double> rho(std::size_t kk, const std::vector<Pos>& r,
+                           const std::vector<double>& q) const
   {
-    rb.push_back(Pos{rng.uniform(0, 5), rng.uniform(0, 5), rng.uniform(0, 5)});
-    qb.push_back(2.0);
+    std::complex<double> s(0.0, 0.0);
+    for (std::size_t i = 0; i < r.size(); ++i)
+      s += q[i] * std::polar(1.0, dot(k[kk], r[i]));
+    return s;
   }
-  rall = ra;
-  rall.insert(rall.end(), rb.begin(), rb.end());
-  qall = qa;
-  qall.insert(qall.end(), qb.begin(), qb.end());
-  EwaldSum ewald(lat, 1e-9);
-  const double e_all = ewald.energy(rall, qall);
-  const double e_parts =
-      ewald.energy(ra, qa) + ewald.energy(rb, qb) + ewald.interaction_energy(ra, qa, rb, qb);
-  EXPECT_NEAR(e_all, e_parts, 1e-7 * std::abs(e_all) + 1e-8);
+};
+
+EwaldSum::StructureFactor soa_structure_factor(const EwaldSum& ew, const std::vector<Pos>& r,
+                                               const std::vector<double>& q)
+{
+  std::vector<double> x, y, z;
+  for (const auto& ri : r)
+  {
+    x.push_back(ri[0]);
+    y.push_back(ri[1]);
+    z.push_back(ri[2]);
+  }
+  return ew.structure_factor(x.data(), y.data(), z.data(), q.data(), static_cast<int>(r.size()));
+}
+
+} // namespace
+
+TEST(Ewald, HalfSpaceSumsMatchFullSphereOnEverySpec)
+{
+  // Seeded random electrons in each committed cell with the spec's ion
+  // charges: the half-space SoA structure factor must reproduce the
+  // direct full-sphere electron k-space energy and the electron-ion
+  // k-space cross term.
+  for (const char* file : {"be64.json", "graphite.json", "graphite-32.json", "nio32.json",
+                           "nio-48.json", "nio64.json"})
+  {
+    SCOPED_TRACE(file);
+    const SystemSpec spec = load_spec(file);
+    const Lattice& lat = spec.lattice;
+    RandomGenerator rng(29);
+    std::vector<Pos> re;
+    for (int i = 0; i < spec.num_electrons; ++i)
+      re.push_back(lat.to_cart(Pos{rng.uniform(), rng.uniform(), rng.uniform()}));
+    const std::vector<double> qe(re.size(), -1.0);
+    std::vector<double> qi;
+    for (std::size_t s = 0; s < spec.species.size(); ++s)
+      qi.insert(qi.end(), spec.ion_counts[s], spec.species[s].charge);
+    ASSERT_EQ(qi.size(), spec.ion_positions.size());
+
+    const EwaldSum ew(lat);
+    const DirectKSpace direct(lat, ew.alpha());
+    ASSERT_EQ(direct.k.size(), 2 * static_cast<std::size_t>(ew.num_kvectors()));
+    double ee = 0.0, ei = 0.0, q_e = 0.0, q_i = 0.0;
+    for (std::size_t kk = 0; kk < direct.k.size(); ++kk)
+    {
+      const std::complex<double> rho_e = direct.rho(kk, re, qe);
+      const std::complex<double> rho_i = direct.rho(kk, spec.ion_positions, qi);
+      ee += direct.kfac[kk] * std::norm(rho_e);
+      ei += direct.kfac[kk] * 2.0 * (rho_e * std::conj(rho_i)).real();
+    }
+    for (double q : qe)
+      q_e += q;
+    for (double q : qi)
+      q_i += q;
+    ei += -M_PI / (lat.volume() * ew.alpha() * ew.alpha()) * q_e * q_i;
+
+    const auto rho_e = soa_structure_factor(ew, re, qe);
+    const auto rho_i = soa_structure_factor(ew, spec.ion_positions, qi);
+    EXPECT_NEAR(ew.kspace_energy(rho_e), ee, 1e-12 * std::abs(ee));
+    EXPECT_NEAR(ew.interaction_kspace(rho_e, rho_i), ei, 1e-12 * std::abs(ei));
+  }
+}
+
+TEST(Coulomb, TableTermsSumToUnionEwaldEnergy)
+{
+  // E(e u I) = CoulombEE + CoulombEI(r_core = 0) + CoulombII: the
+  // production table-backed terms against the position-based reference.
+  for (const Lattice& lat : {Lattice::cubic(5.0), Lattice::hexagonal(4.6, 6.3)})
+  {
+    RandomGenerator rng(17);
+    ParticleSet<double> ions("ion", lat);
+    ions.add_species("A", 2.0);
+    ions.add_species("B", 3.0);
+    ions.create({2, 1});
+    randomize_positions(ions, rng);
+    ParticleSet<double> elec("e", lat);
+    elec.add_species("u", -1.0);
+    elec.create({7});
+    randomize_positions(elec, rng);
+    const int tee = elec.add_table(std::make_unique<SoaDistanceTableAA<double>>(lat, 7));
+    const int tei = elec.add_table(std::make_unique<SoaDistanceTableAB<double>>(lat, ions, 7));
+    elec.update();
+    TrialWaveFunction<double> twf(7);
+
+    CoulombEE<double> cee(lat, tee);
+    CoulombEI<double> cei(ions, {0.0, 0.0}, tei);
+    CoulombII<double> cii(ions);
+    const double e_terms = cee.evaluate(elec, twf) + cei.evaluate(elec, twf) +
+        cii.evaluate(elec, twf);
+
+    std::vector<Pos> r_all = elec.positions();
+    const std::vector<Pos>& r_ion = ions.positions();
+    r_all.insert(r_all.end(), r_ion.begin(), r_ion.end());
+    const std::vector<double> q_all = {-1, -1, -1, -1, -1, -1, -1, 2, 2, 3};
+    const double e_all = EwaldSum(lat).energy(r_all, q_all);
+    EXPECT_NEAR(e_terms, e_all, 1e-10 * std::abs(e_all));
+  }
 }
 
 TEST(NonLocalPP, VanishesForConstantWavefunction)
@@ -180,10 +293,12 @@ TEST(CoulombEI, CoreRegularizationReducesSingularity)
   elec.add_species("u", -1.0);
   elec.create({1});
   elec.set_pos(0, {4.001, 4, 4}); // nearly on top of the ion
+  const int tei = elec.add_table(std::make_unique<SoaDistanceTableAB<double>>(lat, ions, 1));
+  elec.update();
   TrialWaveFunction<double> twf(1);
 
-  CoulombEI<double> bare(ions, {0.0});
-  CoulombEI<double> soft(ions, {0.8});
+  CoulombEI<double> bare(ions, {0.0}, tei);
+  CoulombEI<double> soft(ions, {0.8}, tei);
   const double e_bare = bare.evaluate(elec, twf);
   const double e_soft = soft.evaluate(elec, twf);
   EXPECT_LT(e_bare, -1000.0); // -Z/r with r = 1e-3

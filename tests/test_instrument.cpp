@@ -54,6 +54,8 @@ TEST(Timer, KernelNamesMatchPaperTaxonomy)
   EXPECT_STREQ(kernel_name(Kernel::BsplineVGH), "Bspline-vgh");
   EXPECT_STREQ(kernel_name(Kernel::SPOvgl), "SPO-vgl");
   EXPECT_STREQ(kernel_name(Kernel::DetUpdate), "DetUpdate");
+  EXPECT_STREQ(kernel_name(Kernel::Coulomb), "Coulomb");
+  EXPECT_STREQ(kernel_name(Kernel::Other), "Other");
 }
 
 TEST(ScalingModel, IdealWithoutOverheads)
